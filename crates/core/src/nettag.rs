@@ -9,10 +9,9 @@ use nettag_netlist::{
     chunk_into_cones, cone_to_netlist, Library, Netlist, PhysProps, Tag, TagOptions,
 };
 use nettag_nn::{Layer, Param, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// The pre-trainable NetTAG model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetTag {
     /// Model configuration.
     pub config: NetTagConfig,

@@ -2,22 +2,55 @@
 //!
 //! The paper releases its pre-trained NetTAG so users can "easily generate
 //! and fine-tune embeddings for their own netlist tasks" (footnote 1);
-//! this module provides the same affordance: JSON checkpoints of the full
-//! model (weights + optimizer moments + configuration).
+//! this module provides the same affordance: binary checkpoints of the
+//! full model (weights + Adam moments + configuration), written with the
+//! [`nettag_nn::codec`] byte codec the serving wire protocol also speaks.
+//!
+//! ## Layout (version 1, all little-endian)
+//!
+//! ```text
+//! magic b"NTCK" | version: u32
+//! config: embed_dim, text_dim, text_layers, text_heads, max_tokens,
+//!         graph_dim, graph_layers, graph_heads, hops: u64 each
+//!         | temperature: f32 | mask_rate: f64 | seed: u64
+//! text_scale: f32
+//! per parameter, in `Layer::params_mut` order for `NetTag`:
+//!         rows: u64 | cols: u64 | value, m, v: rows·cols raw f32 each
+//! checksum: u64 FNV-1a-64 of every byte before it
+//! ```
+//!
+//! Floats are stored as raw bit patterns, so a load reproduces the saved
+//! model bit for bit. A save refuses any non-finite value, so every file
+//! it publishes loads; a load verifies the checksum before parsing
+//! anything, so a flipped byte is a [`CheckpointError::Format`], never a
+//! silently different model. The checksum detects corruption, not
+//! tampering: a deliberately re-sealed file is trusted for its model
+//! dimensions, each bounded only by the file's size.
 
+use crate::config::NetTagConfig;
 use crate::nettag::NetTag;
+use nettag_nn::codec::{bad, fnv1a, Dec, Enc};
+use nettag_nn::Layer;
 use std::collections::HashMap;
 use std::fmt;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
+
+/// First four bytes of every checkpoint.
+const MAGIC: [u8; 4] = *b"NTCK";
+
+/// Checkpoint layout version written and accepted by this build.
+const VERSION: u32 = 1;
 
 /// Error saving or loading a checkpoint.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem error.
     Io(std::io::Error),
-    /// Serialization/deserialization error.
-    Format(serde_json::Error),
+    /// The file is not a loadable checkpoint (bad magic, version, shape,
+    /// or checksum), or the model holds a value a checkpoint refuses.
+    Format(String),
 }
 
 impl fmt::Display for CheckpointError {
@@ -37,28 +70,151 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-impl From<serde_json::Error> for CheckpointError {
-    fn from(e: serde_json::Error) -> Self {
-        CheckpointError::Format(e)
+/// Encodes `model` in the layout of the module docs.
+///
+/// # Errors
+///
+/// [`CheckpointError::Format`] if any float in the model is non-finite.
+fn encode(model: &NetTag) -> Result<Vec<u8>, CheckpointError> {
+    let c = &model.config;
+    let non_finite = |what: String| CheckpointError::Format(format!("non-finite value in {what}"));
+    if !(c.temperature.is_finite() && c.mask_rate.is_finite() && model.text_scale.is_finite()) {
+        return Err(non_finite("the configuration".into()));
     }
+    let mut e = Enc::new();
+    e.buf.extend_from_slice(&MAGIC);
+    e.u32(VERSION);
+    for n in [
+        c.embed_dim,
+        c.text_dim,
+        c.text_layers,
+        c.text_heads,
+        c.max_tokens,
+        c.graph_dim,
+        c.graph_layers,
+        c.graph_heads,
+        c.hops,
+    ] {
+        e.u64(n as u64);
+    }
+    e.f32(c.temperature);
+    e.f64(c.mask_rate);
+    e.u64(c.seed);
+    e.f32(model.text_scale);
+    // `Layer` walks parameters through `&mut`; a clone lets a shared
+    // model reuse that one canonical order.
+    let mut model = model.clone();
+    for (i, p) in model.params_mut().into_iter().enumerate() {
+        e.u64(p.value.rows as u64);
+        e.u64(p.value.cols as u64);
+        for (name, t) in [("value", &p.value), ("m", &p.m), ("v", &p.v)] {
+            for &x in &t.data {
+                if !x.is_finite() {
+                    return Err(non_finite(format!("parameter {i} ({name})")));
+                }
+                e.f32(x);
+            }
+        }
+    }
+    let sum = fnv1a(&e.buf);
+    e.u64(sum);
+    Ok(e.buf)
 }
 
-/// Saves a pre-trained model to a JSON checkpoint, **atomically**.
+/// Reads a config count, bounded by the bytes that remain.
+fn count(d: &mut Dec<'_>) -> io::Result<usize> {
+    let n = d.u64()?;
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= d.remaining())
+        .ok_or_else(|| bad(format!("config count {n} exceeds the checkpoint size")))
+}
+
+/// Decodes a checkpoint written by [`encode`].
+fn decode(bytes: &[u8]) -> io::Result<NetTag> {
+    let split = bytes
+        .len()
+        .checked_sub(8)
+        .ok_or_else(|| bad("file shorter than its checksum"))?;
+    let (body, sum) = bytes.split_at(split);
+    if fnv1a(body).to_le_bytes()[..] != *sum {
+        return Err(bad("checksum mismatch"));
+    }
+    let mut d = Dec::new(body);
+    if d.take(MAGIC.len())? != MAGIC {
+        return Err(bad("bad magic: not a nettag checkpoint"));
+    }
+    let version = d.u32()?;
+    if version != VERSION {
+        return Err(bad(format!(
+            "checkpoint version {version}, this build reads {VERSION}"
+        )));
+    }
+    let config = NetTagConfig {
+        embed_dim: count(&mut d)?,
+        text_dim: count(&mut d)?,
+        text_layers: count(&mut d)?,
+        text_heads: count(&mut d)?,
+        max_tokens: count(&mut d)?,
+        graph_dim: count(&mut d)?,
+        graph_layers: count(&mut d)?,
+        graph_heads: count(&mut d)?,
+        hops: count(&mut d)?,
+        temperature: d.f32()?,
+        mask_rate: d.f64()?,
+        seed: d.u64()?,
+    };
+    // `NetTag::new` panics on widths its attention heads cannot split.
+    for (dim, heads) in [
+        (config.text_dim, config.text_heads),
+        (config.graph_dim, config.graph_heads),
+    ] {
+        if heads == 0 || dim % heads != 0 {
+            return Err(bad(format!(
+                "width {dim} does not split into {heads} heads"
+            )));
+        }
+    }
+    let text_scale = d.f32()?;
+    let mut model = NetTag::new(config);
+    model.text_scale = text_scale;
+    for (i, p) in model.params_mut().into_iter().enumerate() {
+        let shape = (d.u64()?, d.u64()?);
+        let want = (p.value.rows as u64, p.value.cols as u64);
+        if shape != want {
+            return Err(bad(format!(
+                "parameter {i}: shape {shape:?}, the configured model has {want:?}"
+            )));
+        }
+        for t in [&mut p.value, &mut p.m, &mut p.v] {
+            for x in &mut t.data {
+                *x = d.f32()?;
+            }
+        }
+    }
+    d.finish()?;
+    Ok(model)
+}
+
+/// Saves a pre-trained model to a binary checkpoint, **atomically**.
 ///
-/// The checkpoint is written to a temporary file in the *same directory*
-/// (rename across filesystems is not atomic), fsynced, and then renamed
-/// over `path`. A crash — or a serialization failure — at any point
+/// The whole checkpoint is encoded in memory first, so a model it
+/// refuses never touches the disk. The bytes are then written to a
+/// temporary file in the *same directory* (rename across filesystems is
+/// not atomic), fsynced, and renamed over `path`. A crash at any point
 /// leaves either the complete old checkpoint or the complete new one on
 /// disk, never a torn file: a serving engine pointed at `path` can
 /// always [`load_checkpoint`] whatever is there.
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError`] on filesystem or serialization failure;
-/// on failure the previous contents of `path` are untouched and the
-/// temporary file is removed.
+/// [`CheckpointError::Format`] if any weight, Adam moment, or float
+/// setting is NaN or infinite; [`CheckpointError::Io`] on filesystem
+/// failure. On failure the previous contents of `path` are untouched and
+/// the temporary file is removed.
 pub fn save_checkpoint(model: &NetTag, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
     use std::io::Write;
+    let bytes = encode(model)?;
     let path = path.as_ref();
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     // Name the temp file after the target (plus pid for concurrent
@@ -69,13 +225,11 @@ pub fn save_checkpoint(model: &NetTag, path: impl AsRef<Path>) -> Result<(), Che
         dir.unwrap_or_else(|| Path::new(".")).join(name)
     };
     let result = (|| -> Result<(), CheckpointError> {
-        let file = std::fs::File::create(&tmp)?;
-        let mut writer = std::io::BufWriter::new(file);
-        serde_json::to_writer(&mut writer, model)?;
-        writer.flush()?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&bytes)?;
         // Durability before visibility: the rename must not publish a
         // file whose bytes are still in the page cache only.
-        writer.get_ref().sync_all()?;
+        file.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok(())
     })();
@@ -85,15 +239,16 @@ pub fn save_checkpoint(model: &NetTag, path: impl AsRef<Path>) -> Result<(), Che
     result
 }
 
-/// Loads a model from a JSON checkpoint.
+/// Loads a model from a binary checkpoint.
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError`] on filesystem or deserialization failure.
+/// [`CheckpointError::Io`] if the file cannot be read;
+/// [`CheckpointError::Format`] on a bad checksum, magic, version, or
+/// parameter shape, or a truncated or over-long file.
 pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<NetTag, CheckpointError> {
-    let file = std::fs::File::open(path)?;
-    let reader = std::io::BufReader::new(file);
-    Ok(serde_json::from_reader(reader)?)
+    let bytes = std::fs::read(path)?;
+    decode(&bytes).map_err(|e| CheckpointError::Format(e.to_string()))
 }
 
 /// Loads a checkpoint into a shared immutable handle, deduplicated by
@@ -107,10 +262,10 @@ pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<NetTag, CheckpointError
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError`] on filesystem or deserialization failure.
+/// Returns [`CheckpointError`] on filesystem or format failure.
 pub fn load_checkpoint_shared(path: impl AsRef<Path>) -> Result<Arc<NetTag>, CheckpointError> {
     let registry = registry();
-    // Canonicalize so `./ckpt.json` and an absolute spelling share.
+    // Canonicalize so `./model.ckpt` and an absolute spelling share.
     let path = path.as_ref();
     let key = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
     // Fast path: a live handle exists. A panicking loader can't leave
@@ -124,7 +279,7 @@ pub fn load_checkpoint_shared(path: impl AsRef<Path>) -> Result<Arc<NetTag>, Che
     {
         return Ok(model);
     }
-    // Parse outside the lock (JSON checkpoints are large); racing loaders
+    // Parse outside the lock (checkpoints are large); racing loaders
     // may parse twice, but the first to publish wins and the loser's copy
     // is dropped — every caller still ends up on one shared buffer.
     let model = Arc::new(load_checkpoint(path)?);
@@ -157,7 +312,7 @@ fn registry() -> &'static Mutex<HashMap<PathBuf, Weak<NetTag>>> {
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError`] on filesystem or deserialization failure;
+/// Returns [`CheckpointError`] on filesystem or format failure;
 /// the registry keeps its previous entry in that case.
 pub fn reload_checkpoint_shared(path: impl AsRef<Path>) -> Result<Arc<NetTag>, CheckpointError> {
     let path = path.as_ref();
@@ -190,7 +345,7 @@ mod tests {
         let model = NetTag::new(NetTagConfig::tiny());
         let dir = std::env::temp_dir().join("nettag_ckpt_test");
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("model.json");
+        let path = dir.join("model.ckpt");
         save_checkpoint(&model, &path).expect("save");
         let loaded = load_checkpoint(&path).expect("load");
         let lib = Library::default();
@@ -205,7 +360,7 @@ mod tests {
 
     #[test]
     fn load_missing_file_reports_io_error() {
-        let err = load_checkpoint("/definitely/not/here.json").expect_err("must fail");
+        let err = load_checkpoint("/definitely/not/here.ckpt").expect_err("must fail");
         assert!(matches!(err, CheckpointError::Io(_)));
         assert!(!err.to_string().is_empty());
     }

@@ -1,9 +1,12 @@
 //! Checkpoint persistence: round-trip fidelity, corrupt-file error paths,
-//! and shared multi-reader loading (the serving engine's contract).
+//! refused saves, and shared multi-reader loading (the serving engine's
+//! contract).
 
 use nettag_core::{
     load_checkpoint, load_checkpoint_shared, save_checkpoint, CheckpointError, NetTag, NetTagConfig,
 };
+use nettag_nn::codec::fnv1a;
+use nettag_nn::Layer;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -34,6 +37,106 @@ fn roundtrip_preserves_every_weight_bitwise() {
         loaded.tagformer.cls_seed.value.data
     );
     assert_eq!(model.config.embed_dim, loaded.config.embed_dim);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn roundtrip_preserves_values_and_adam_moments_bitwise() {
+    let mut model = NetTag::new(NetTagConfig::tiny());
+    model.text_scale = 0.5;
+    // Give the moments distinct, awkward bit patterns (subnormals, -0.0)
+    // so a lossy float encoding could not pass.
+    for (i, p) in model.params_mut().into_iter().enumerate() {
+        for (j, (m, v)) in p.m.data.iter_mut().zip(&mut p.v.data).enumerate() {
+            *m = if j % 3 == 0 {
+                -0.0
+            } else {
+                (i + j) as f32 * 1e-3
+            };
+            *v = f32::from_bits(1 + (i * 31 + j) as u32);
+        }
+    }
+    let path = tmp_path("roundtrip_moments.ckpt");
+    save_checkpoint(&model, &path).expect("save");
+    let mut loaded = load_checkpoint(&path).expect("load");
+    assert_eq!(loaded.text_scale.to_bits(), model.text_scale.to_bits());
+    assert_eq!(loaded.config.seed, model.config.seed);
+    assert_eq!(
+        loaded.config.temperature.to_bits(),
+        model.config.temperature.to_bits()
+    );
+    let bits = |t: &nettag_nn::Tensor| t.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let saved = model.params_mut();
+    let back = loaded.params_mut();
+    assert_eq!(saved.len(), back.len());
+    for (a, b) in saved.iter().zip(&back) {
+        assert_eq!((a.value.rows, a.value.cols), (b.value.rows, b.value.cols));
+        assert_eq!(bits(&a.value), bits(&b.value));
+        assert_eq!(bits(&a.m), bits(&b.m));
+        assert_eq!(bits(&a.v), bits(&b.v));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn nan_weight_save_is_refused_and_keeps_the_previous_checkpoint() {
+    let mut model = NetTag::new(NetTagConfig::tiny());
+    let path = tmp_path("nan_guard.ckpt");
+    save_checkpoint(&model, &path).expect("seed save");
+    let before = std::fs::read(&path).expect("read seed");
+    model.tagformer.cls_seed.value.data[0] = f32::NAN;
+    let err = save_checkpoint(&model, &path).expect_err("a NaN weight must not be saved");
+    assert!(matches!(err, CheckpointError::Format(_)), "got: {err}");
+    assert_eq!(
+        std::fs::read(&path).expect("read back"),
+        before,
+        "a refused save must leave the previous checkpoint byte-identical"
+    );
+    let loaded = load_checkpoint(&path).expect("previous checkpoint still loads");
+    assert!(loaded.tagformer.cls_seed.value.data[0].is_finite());
+    std::fs::remove_file(&path).ok();
+}
+
+/// Saves a fresh tiny model and returns its path and bytes.
+fn saved_bytes(name: &str) -> (std::path::PathBuf, Vec<u8>) {
+    let path = tmp_path(name);
+    save_checkpoint(&NetTag::new(NetTagConfig::tiny()), &path).expect("save");
+    let bytes = std::fs::read(&path).expect("read back");
+    (path, bytes)
+}
+
+#[test]
+fn any_flipped_byte_is_a_format_error() {
+    let (path, bytes) = saved_bytes("flipped.ckpt");
+    // Magic, version, a config field, a tensor-body byte, the last
+    // tensor byte, and the checksum itself.
+    let n = bytes.len();
+    for at in [0, 5, 20, n / 2, n - 9, n - 1] {
+        let mut bad = bytes.clone();
+        bad[at] ^= 0x10;
+        std::fs::write(&path, &bad).expect("write corrupted copy");
+        let err = load_checkpoint(&path).expect_err("a flipped byte must not load");
+        assert!(
+            matches!(err, CheckpointError::Format(_)),
+            "byte {at}: got {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn wrong_version_is_a_format_error() {
+    let (path, mut bytes) = saved_bytes("version.ckpt");
+    // The version is the u32 after the 4-byte magic. Re-seal the file so
+    // the version check itself, not the checksum, is what refuses it.
+    bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write");
+    let err = load_checkpoint(&path).expect_err("an unknown version must not load");
+    assert!(matches!(err, CheckpointError::Format(_)), "got: {err}");
+    assert!(err.to_string().contains("version"), "got: {err}");
     std::fs::remove_file(&path).ok();
 }
 

@@ -5,12 +5,11 @@
 //! {T, E}` of paper Sec. II-B before text attributes are attached.
 
 use crate::cell::CellKind;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a gate node within one [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GateId(pub u32);
 
 impl GateId {
@@ -27,7 +26,7 @@ impl fmt::Display for GateId {
 }
 
 /// One gate instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// Instance name (`U3`, `R1`, …).
     pub name: String,
@@ -100,7 +99,7 @@ impl std::error::Error for NetlistError {}
 /// let n = n.validate().expect("well-formed");
 /// assert_eq!(n.gate_count(), 4);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
     gates: Vec<Gate>,

@@ -46,6 +46,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod data_parallel;
 mod gbdt;
 mod grad;

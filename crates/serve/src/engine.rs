@@ -53,6 +53,7 @@ use nettag_geom::{cone_geometry, FusionModel};
 use nettag_netlist::{
     structural_hash_with_phys, synthesis_phys_estimates, Library, Netlist, PhysProps, Tag,
 };
+use nettag_nn::codec::fnv1a;
 use nettag_nn::Tensor;
 use nettag_par::queue::{BoundedQueue, Pop, TryPushError};
 use std::collections::{HashMap, HashSet};
@@ -424,16 +425,6 @@ impl std::fmt::Debug for Engine {
             .field("cached_embeddings", &self.cached_embeddings())
             .finish()
     }
-}
-
-/// FNV-1a over bytes: the deterministic lane hash for expression text.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Client {

@@ -1,9 +1,10 @@
 //! The length-prefixed binary wire protocol of the network front-end.
 //!
-//! Std-only (no serde on the hot path) and explicitly little-endian, so
-//! both ends agree bit for bit — embeddings travel as raw `f32` bit
-//! patterns ([`f32::to_le_bytes`]/[`f32::from_le_bytes`]), which is what
-//! lets the loopback integration tests pin *bitwise* equality between
+//! Std-only and explicitly little-endian — it is built on the
+//! [`nettag_nn::codec`] byte codec that checkpoints also use — so both
+//! ends agree bit for bit: embeddings travel as raw `f32` bit patterns
+//! ([`f32::to_le_bytes`]/[`f32::from_le_bytes`]), which is what lets the
+//! loopback integration tests pin *bitwise* equality between
 //! served-over-TCP and in-process responses.
 //!
 //! ## Connection handshake
@@ -50,6 +51,7 @@
 //! health-check a server whose lanes are saturated.
 
 use nettag_netlist::{GateId, Netlist, PhysProps, ALL_CELL_KINDS};
+use nettag_nn::codec::{bad, Dec, Enc};
 use std::io::{self, Read, Write};
 
 /// Connection magic: the first four bytes of every hello.
@@ -175,10 +177,6 @@ impl ErrorCode {
     }
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 /// Writes the 8-byte hello.
 ///
 /// # Errors
@@ -248,93 +246,6 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
-}
-
-/// Byte-wise encoder for frame payloads.
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Byte-wise decoder over a frame payload.
-struct Dec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, at: 0 }
-    }
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad("truncated frame"))?;
-        let out = &self.buf[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-    /// Bytes left in the payload — the budget any count field must fit
-    /// in, so a hostile count can't drive an allocation the frame could
-    /// never back with data.
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn f32(&mut self) -> io::Result<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        if len > 1 << 20 {
-            return Err(bad("string field over 1 MiB"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| bad("string field not UTF-8"))
-    }
-    fn finish(self) -> io::Result<()> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad("trailing bytes after frame payload"))
-        }
-    }
 }
 
 fn encode_netlist(e: &mut Enc, netlist: &Netlist, phys: Option<&[PhysProps]>) {
