@@ -94,8 +94,9 @@ impl ExprLlm {
     }
 
     /// Inference-only batch encoding, one row per sequence. Sequences are
-    /// independent, so the batch parallelizes across worker threads (each
-    /// builds its own throwaway graph).
+    /// independent, so the batch parallelizes across worker threads, each
+    /// running the tapeless [`Self::encode`] over a contiguous block of
+    /// rows.
     pub fn encode_batch(&self, batch: &[Vec<TokenId>]) -> Tensor {
         let cols = self.proj.b.value.cols;
         let mut out = Tensor::zeros(batch.len(), cols);

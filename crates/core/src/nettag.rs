@@ -4,11 +4,12 @@
 use crate::config::NetTagConfig;
 use crate::exprllm::ExprLlm;
 use crate::tagformer::TagFormer;
-use nettag_expr::token::Vocab;
+use nettag_expr::token::{TokenId, Vocab};
 use nettag_netlist::{
     chunk_into_cones, cone_to_netlist, Library, Netlist, PhysProps, Tag, TagOptions,
 };
 use nettag_nn::{Layer, Param, Tensor};
+use std::collections::HashMap;
 
 /// The pre-trainable NetTAG model.
 #[derive(Debug, Clone)]
@@ -90,27 +91,78 @@ impl NetTag {
     /// callers (the serving engine, batch pipelines) construct it once
     /// and pass it in; results are identical.
     pub fn node_features_with_vocab(&self, tag: &Tag, vocab: &Vocab) -> Tensor {
-        let n = tag.len();
-        let dim = self.config.embed_dim + 8;
-        let mut out = Tensor::zeros(n, dim);
-        // Frozen per-gate ExprLLM encoding dominates TAG preparation and
-        // is independent per node: each worker owns a contiguous block of
-        // output rows (ExprLLM inference builds thread-local graphs).
-        nettag_par::for_each_row_block_mut(&mut out.data, dim, |first_row, chunk| {
-            for (bi, row) in chunk.chunks_exact_mut(dim).enumerate() {
-                let i = first_row + bi;
-                if self.text_scale != 0.0 {
-                    let toks = tag.node_tokens(vocab, i, self.config.max_tokens, false);
-                    let text = self.exprllm.encode(&toks);
-                    for (o, v) in row.iter_mut().zip(text.data.iter()) {
-                        *o = v * self.text_scale;
+        let mut features = self.features_of(&[tag], vocab);
+        features.pop().expect("one feature tensor per tag")
+    }
+
+    /// [`Self::node_features`] for several TAGs at once, one tensor per
+    /// tag, from a single ExprLLM pass.
+    ///
+    /// `CanonicalVars` names variables by first appearance, so most gates
+    /// of a design tokenize to a sequence another gate already has. Each
+    /// distinct sequence is encoded once, and its row is copied to every
+    /// gate that has it. [`ExprLlm::encode`] is a pure function of its
+    /// tokens, so the features are bitwise those of encoding every gate.
+    /// The memo lives for this call only.
+    pub fn features_of(&self, tags: &[&Tag], vocab: &Vocab) -> Vec<Tensor> {
+        self.features_and_texts(tags, &[], vocab).0
+    }
+
+    /// [`Self::features_of`] plus the unscaled ExprLLM encoding
+    /// (1×embed_dim) of each standalone token sequence in `seqs`. The
+    /// sequences join the gates' deduplicated pass, which is how the
+    /// serving batch encodes its expression requests.
+    pub fn features_and_texts(
+        &self,
+        tags: &[&Tag],
+        seqs: &[Vec<TokenId>],
+        vocab: &Vocab,
+    ) -> (Vec<Tensor>, Vec<Tensor>) {
+        // Distinct sequence -> its row in the batched pass.
+        let mut rows: HashMap<Vec<TokenId>, usize> = HashMap::new();
+        let mut intern = |toks: Vec<TokenId>| {
+            let next = rows.len();
+            *rows.entry(toks).or_insert(next)
+        };
+        // With the text half scaled to zero (the Fig. 6 "w/o TAG"
+        // ablation) gates are not encoded at all and the half stays +0.0.
+        let gate_rows: Vec<usize> = if self.text_scale == 0.0 {
+            Vec::new()
+        } else {
+            tags.iter()
+                .flat_map(|tag| (0..tag.len()).map(move |i| (*tag, i)))
+                .map(|(tag, i)| intern(tag.node_tokens(vocab, i, self.config.max_tokens, false)))
+                .collect()
+        };
+        let seq_rows: Vec<usize> = seqs.iter().map(|s| intern(s.clone())).collect();
+        let mut distinct = vec![Vec::new(); rows.len()];
+        for (toks, row) in rows {
+            distinct[row] = toks;
+        }
+        let text = self.exprllm.encode_batch(&distinct);
+        let embed_dim = self.config.embed_dim;
+        let dim = embed_dim + 8;
+        let mut gate_rows = gate_rows.into_iter();
+        let features = tags
+            .iter()
+            .map(|tag| {
+                let mut out = Tensor::zeros(tag.len(), dim);
+                for (node, row) in tag.nodes.iter().zip(out.data.chunks_exact_mut(dim)) {
+                    if let Some(r) = gate_rows.next() {
+                        for (o, v) in row.iter_mut().zip(text.row_slice(r)) {
+                            *o = v * self.text_scale;
+                        }
                     }
+                    row[embed_dim..].copy_from_slice(&node.phys.feature_vector());
                 }
-                let phys = tag.nodes[i].phys.feature_vector();
-                row[self.config.embed_dim..].copy_from_slice(&phys);
-            }
-        });
-        out
+                out
+            })
+            .collect();
+        let texts = seq_rows
+            .iter()
+            .map(|&r| Tensor::row(text.row_slice(r).to_vec()))
+            .collect();
+        (features, texts)
     }
 
     /// Embeds a TAG (inference): per-gate + graph embeddings.
@@ -129,6 +181,8 @@ impl NetTag {
     /// Embeds a full netlist at circuit granularity. Sequential circuits
     /// are chunked into register cones whose `[CLS]` embeddings are
     /// *summed* (paper Sec. II-F); combinational circuits embed directly.
+    /// All cones' node features come from one [`Self::features_of`] call,
+    /// so a gate text shared across cones is encoded once.
     ///
     /// `phys` optionally supplies sign-off physical attributes per gate id;
     /// otherwise synthesis estimates are used.
@@ -146,19 +200,19 @@ impl NetTag {
             };
             return self.embed_tag(&tag).cls;
         }
-        let mut total = Tensor::zeros(1, self.config.embed_dim);
-        for cone in chunk_into_cones(netlist) {
-            let sub = cone_to_netlist(netlist, &cone);
-            if sub.gate_count() < 2 {
-                continue;
-            }
-            let tag = match phys {
-                Some(p) => {
-                    // Map parent-gate phys onto cone gates by name.
-                    let by_name: std::collections::HashMap<&str, PhysProps> = netlist
-                        .iter()
-                        .map(|(id, g)| (g.name.as_str(), p[id.index()]))
-                        .collect();
+        // Parent-gate phys, looked up by name for the cone gates.
+        let by_name: Option<HashMap<&str, PhysProps>> = phys.map(|p| {
+            netlist
+                .iter()
+                .map(|(id, g)| (g.name.as_str(), p[id.index()]))
+                .collect()
+        });
+        let tags: Vec<Tag> = chunk_into_cones(netlist)
+            .iter()
+            .map(|cone| cone_to_netlist(netlist, cone))
+            .filter(|sub| sub.gate_count() >= 2)
+            .map(|sub| match &by_name {
+                Some(by_name) => {
                     let fallback = nettag_netlist::synthesis_phys_estimates(&sub, lib);
                     let props: Vec<PhysProps> = sub
                         .iter()
@@ -172,8 +226,13 @@ impl NetTag {
                     Tag::from_netlist_with_phys(&sub, &props, &opts)
                 }
                 None => Tag::from_netlist(&sub, lib, &opts),
-            };
-            total.add_assign(&self.embed_tag(&tag).cls);
+            })
+            .collect();
+        let refs: Vec<&Tag> = tags.iter().collect();
+        let features = self.features_of(&refs, &Self::vocab());
+        let mut total = Tensor::zeros(1, self.config.embed_dim);
+        for (tag, f) in tags.iter().zip(&features) {
+            total.add_assign(&self.embed_tag_with_features(tag, f).cls);
         }
         total
     }

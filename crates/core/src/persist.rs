@@ -201,17 +201,20 @@ fn decode(bytes: &[u8]) -> io::Result<NetTag> {
 /// The whole checkpoint is encoded in memory first, so a model it
 /// refuses never touches the disk. The bytes are then written to a
 /// temporary file in the *same directory* (rename across filesystems is
-/// not atomic), fsynced, and renamed over `path`. A crash at any point
-/// leaves either the complete old checkpoint or the complete new one on
-/// disk, never a torn file: a serving engine pointed at `path` can
-/// always [`load_checkpoint`] whatever is there.
+/// not atomic), fsynced, and renamed over `path`; on Unix the directory
+/// is then fsynced too, so the rename itself survives a power loss. A
+/// crash at any point leaves either the complete old checkpoint or the
+/// complete new one on disk, never a torn file: a serving engine pointed
+/// at `path` can always [`load_checkpoint`] whatever is there.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Format`] if any weight, Adam moment, or float
 /// setting is NaN or infinite; [`CheckpointError::Io`] on filesystem
-/// failure. On failure the previous contents of `path` are untouched and
-/// the temporary file is removed.
+/// failure. A failure before the rename leaves the previous contents of
+/// `path` untouched and removes the temporary file. A failure to sync
+/// the directory comes after the rename: the new checkpoint is in place
+/// and loads, but its rename may not survive a power loss.
 pub fn save_checkpoint(model: &NetTag, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
     use std::io::Write;
     let bytes = encode(model)?;
@@ -231,6 +234,10 @@ pub fn save_checkpoint(model: &NetTag, path: impl AsRef<Path>) -> Result<(), Che
         // file whose bytes are still in the page cache only.
         file.sync_all()?;
         std::fs::rename(&tmp, path)?;
+        // The rename is an entry in the directory, durable only once the
+        // directory itself is synced.
+        #[cfg(unix)]
+        std::fs::File::open(dir.unwrap_or_else(|| Path::new(".")))?.sync_all()?;
         Ok(())
     })();
     if result.is_err() {

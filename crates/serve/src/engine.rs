@@ -12,16 +12,16 @@
 //! typed [`ServeError::Overloaded`] instead of queueing unboundedly.
 //!
 //! A batcher coalesces everything that arrives within a small window (up
-//! to `max_batch`) into **one** batched forward pass: every missing
-//! cone's gate-attribute token sequences — plus any standalone
-//! expression requests — join a single
-//! [`ExprLlm::encode_batch`](nettag_core::ExprLlm::encode_batch) call
-//! (which fans out across the persistent `nettag-par` worker pool), and
-//! each cone then takes one tapeless TAGFormer pass. Responses are
-//! bitwise independent of batch composition and lane assignment: a
-//! request answers with the same bits whether it ran alone, coalesced
-//! with strangers, or hit the cache (pinned by the `serve` integration
-//! tests).
+//! to `max_batch`) into **one** batched forward pass: the *distinct*
+//! gate-attribute token sequences of every missing cone — plus any
+//! standalone expression requests — are encoded once each by a single
+//! [`NetTag::features_and_texts`] call, the same feature assembly the
+//! offline API uses (its ExprLLM pass fans out across the persistent
+//! `nettag-par` worker pool), and each cone then takes one tapeless
+//! TAGFormer pass. Responses are bitwise independent of batch
+//! composition and lane assignment: a request answers with the same bits
+//! whether it ran alone, coalesced with strangers, or hit the cache
+//! (pinned by the `serve` integration tests).
 //!
 //! **Fault tolerance.** Batch execution runs inside `catch_unwind`: a
 //! panic anywhere in planning or compute resolves
@@ -742,8 +742,8 @@ enum Plan {
     Wait { key: u128, predict: bool },
     /// Answered by the fused embedding computed under `key` this batch.
     WaitFused { key: u128 },
-    /// Answered by row `row` of the batched ExprLLM pass.
-    ExprRow { row: usize },
+    /// Answered by the `index`th expression of the batched ExprLLM pass.
+    Expr { index: usize },
 }
 
 /// Batch-local counter accumulation, committed under one stats lock once
@@ -820,13 +820,11 @@ fn run_batch(
         (Arc::clone(&st.model), st.generation)
     };
     let opts = model.tag_options();
-    let embed_dim = model.config.embed_dim;
     // Planning pass: prune expired requests, consult the cache, dedup
-    // within the batch, and collect every token sequence the batch
-    // needs.
-    let mut union: Vec<Vec<TokenId>> = Vec::new();
-    // (key, tag, row offset of this cone's tokens in `union`).
-    let mut compute: Vec<(u128, Tag, usize)> = Vec::new();
+    // whole cones within the batch, and collect the cones to compute and
+    // the standalone expressions' token sequences.
+    let mut exprs: Vec<Vec<TokenId>> = Vec::new();
+    let mut compute: Vec<(u128, Tag)> = Vec::new();
     let mut scheduled: HashSet<u128> = HashSet::new();
     // Fused requests scheduled this batch, plus `[CLS]` embeddings the
     // fused pass can take from the cache instead of recomputing.
@@ -840,23 +838,11 @@ fn run_batch(
     let schedule_cls = |key: u128,
                         netlist: &Netlist,
                         props: &[PhysProps],
-                        union: &mut Vec<Vec<TokenId>>,
-                        compute: &mut Vec<(u128, Tag, usize)>,
+                        compute: &mut Vec<(u128, Tag)>,
                         scheduled: &mut HashSet<u128>| {
-        if !scheduled.insert(key) {
-            return;
+        if scheduled.insert(key) {
+            compute.push((key, Tag::from_netlist_with_phys(netlist, props, &opts)));
         }
-        let tag = Tag::from_netlist_with_phys(netlist, props, &opts);
-        let offset = if model.text_scale != 0.0 {
-            let o = union.len();
-            for i in 0..tag.len() {
-                union.push(tag.node_tokens(&shared.vocab, i, model.config.max_tokens, false));
-            }
-            o
-        } else {
-            usize::MAX
-        };
-        compute.push((key, tag, offset));
     };
     let now = Instant::now();
     for (idx, (kind, deadline)) in items.into_iter().enumerate() {
@@ -884,14 +870,7 @@ fn run_batch(
                         tally.dedup_hits += 1;
                     } else {
                         tally.cache_misses += 1;
-                        schedule_cls(
-                            key,
-                            &netlist,
-                            &props,
-                            &mut union,
-                            &mut compute,
-                            &mut scheduled,
-                        );
+                        schedule_cls(key, &netlist, &props, &mut compute, &mut scheduled);
                     }
                     Plan::Wait { key, predict }
                 }
@@ -916,14 +895,7 @@ fn run_batch(
                             if let Some(cls) = shared.cache.get(key, generation) {
                                 cls_from_cache.insert(key, cls);
                             } else {
-                                schedule_cls(
-                                    key,
-                                    &netlist,
-                                    &props,
-                                    &mut union,
-                                    &mut compute,
-                                    &mut scheduled,
-                                );
+                                schedule_cls(key, &netlist, &props, &mut compute, &mut scheduled);
                             }
                         }
                         fused_compute.push((key, netlist, props));
@@ -934,44 +906,27 @@ fn run_batch(
                 }
             }
             RequestKind::Expr { expr } => {
-                let toks = tokenize_expr(&shared.vocab, &expr, model.config.max_tokens);
-                union.push(toks);
-                Plan::ExprRow {
-                    row: union.len() - 1,
+                exprs.push(tokenize_expr(&shared.vocab, &expr, model.config.max_tokens));
+                Plan::Expr {
+                    index: exprs.len() - 1,
                 }
             }
         };
         plans.push((idx, plan));
     }
-    // One batched ExprLLM forward over every token sequence the batch
-    // needs (all missing cones' gates + all standalone expressions) —
-    // this is the expensive pass, and it rides the worker pool.
-    let text = if union.is_empty() {
-        None
-    } else {
-        Some(model.exprllm.encode_batch(&union))
-    };
-    // Per-cone tapeless TAGFormer pass over the scattered features,
-    // mirroring `NetTag::node_features` bit for bit.
+    // One ExprLLM pass over every distinct token sequence the batch needs
+    // (all missing cones' gates + all standalone expressions) — the
+    // expensive pass, riding the worker pool — then one tapeless
+    // TAGFormer pass per cone.
+    let tags: Vec<&Tag> = compute.iter().map(|(_, tag)| tag).collect();
+    let (features, texts) = model.features_and_texts(&tags, &exprs, &shared.vocab);
     let mut computed: HashMap<u128, Arc<Tensor>> = HashMap::with_capacity(compute.len());
-    for (key, tag, offset) in compute {
-        let dim = embed_dim + 8;
-        let mut feats = Tensor::zeros(tag.len(), dim);
-        for i in 0..tag.len() {
-            let row = &mut feats.data[i * dim..(i + 1) * dim];
-            if offset != usize::MAX {
-                let t = text.as_ref().expect("union encoded").row_slice(offset + i);
-                for (o, v) in row.iter_mut().zip(t.iter()) {
-                    *o = v * model.text_scale;
-                }
-            }
-            row[embed_dim..].copy_from_slice(&tag.nodes[i].phys.feature_vector());
-        }
-        let (_nodes, cls) = model.tagformer.encode(&feats, &tag.edges);
-        let emb = Arc::new(cls);
-        shared.cache.insert(key, Arc::clone(&emb), generation);
-        computed.insert(key, emb);
+    for ((key, tag), feats) in compute.iter().zip(&features) {
+        let emb = Arc::new(model.embed_tag_with_features(tag, feats).cls);
+        shared.cache.insert(*key, Arc::clone(&emb), generation);
+        computed.insert(*key, emb);
     }
+    let texts: Vec<Arc<Tensor>> = texts.into_iter().map(Arc::new).collect();
     // Fused pass: geometry extraction (deterministic seeded flow) +
     // tapeless cross-attentive fusion over the `[CLS]` embedding this
     // batch computed (or found cached).
@@ -1018,12 +973,7 @@ fn run_batch(
                 );
                 Ok(Response::Embedding(emb))
             }
-            Plan::ExprRow { row } => {
-                let t = text.as_ref().expect("union encoded");
-                Ok(Response::Embedding(Arc::new(Tensor::row(
-                    t.row_slice(row).to_vec(),
-                ))))
-            }
+            Plan::Expr { index } => Ok(Response::Embedding(Arc::clone(&texts[index]))),
         };
         if let Some(reply) = replies[idx].take() {
             reply.send(result);

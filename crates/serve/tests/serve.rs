@@ -169,6 +169,79 @@ fn expr_requests_match_exprllm_encode_bitwise() {
 }
 
 #[test]
+fn one_batch_shares_gate_texts_and_answers_like_offline() {
+    let model = Arc::new(NetTag::new(NetTagConfig::tiny()));
+    const EXPRS: [&str; 4] = ["!(p & q) | p", "!(u & v) | u", "a ^ b", "!a & (b | c)"];
+    // One lane, and a batch that closes only when all seven requests are
+    // in: two cones, a repeat of the first, and four expressions.
+    let engine = Engine::new(
+        Arc::clone(&model),
+        ServeConfig {
+            lanes: 1,
+            max_batch: 7,
+            batch_window: Duration::from_secs(5),
+            linger: Duration::from_secs(5),
+            ..ServeConfig::default()
+        },
+    );
+    let lib = Library::default();
+    let vocab = NetTag::vocab();
+    let (a, b) = (cone(0), cone(2));
+    let gate_texts = |n: &Netlist| {
+        let tag = Tag::from_netlist(n, &lib, &model.tag_options());
+        (0..tag.len())
+            .map(|i| tag.node_tokens(&vocab, i, model.config.max_tokens, false))
+            .collect::<Vec<_>>()
+    };
+    let (ta, tb) = (gate_texts(&a), gate_texts(&b));
+    assert!(
+        ta.iter().any(|s| tb.contains(s)),
+        "the two cones share gate sequences"
+    );
+    let expr_tokens = |text: &str| {
+        tokenize_expr(
+            &vocab,
+            &parse_expr(text).expect("parses"),
+            model.config.max_tokens,
+        )
+    };
+    // The first two rename each other's variables: one token sequence.
+    assert_eq!(expr_tokens(EXPRS[0]), expr_tokens(EXPRS[1]));
+    let barrier = Arc::new(std::sync::Barrier::new(7));
+    let mut handles = Vec::new();
+    for n in [a.clone(), b.clone(), a.clone()] {
+        let (client, barrier) = (engine.client(), Arc::clone(&barrier));
+        handles.push(std::thread::spawn(move || {
+            barrier.wait();
+            client.embed_cone(n, None).expect("cone")
+        }));
+    }
+    for text in EXPRS {
+        let (client, barrier) = (engine.client(), Arc::clone(&barrier));
+        handles.push(std::thread::spawn(move || {
+            barrier.wait();
+            client.embed_expr(text).expect("expr")
+        }));
+    }
+    let served: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("no panics"))
+        .collect();
+    assert_eq!(served[0].data, offline_cls(&model, &a));
+    assert_eq!(served[1].data, offline_cls(&model, &b));
+    assert_eq!(served[2].data, offline_cls(&model, &a));
+    for (text, got) in EXPRS.iter().zip(&served[3..]) {
+        assert_eq!(got.data, model.exprllm.encode(&expr_tokens(text)).data);
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.batches, 1, "all seven requests rode one batch");
+    // Counters count whole cones: sharing gate texts is not a dedup hit.
+    assert_eq!(stats.cache_misses, 2);
+    assert_eq!(stats.dedup_hits, 1);
+    assert_eq!(stats.cache_hits, 0);
+}
+
+#[test]
 fn malformed_requests_report_invalid() {
     let (_model, engine) = tiny_engine();
     let client = engine.client();
