@@ -66,47 +66,48 @@ impl ExprLlm {
         self.proj.forward(g, cls)
     }
 
-    /// Differentiable batched forward → batch×embed_dim.
-    pub fn forward_batch(&self, g: &mut Graph, batch: &[Vec<TokenId>]) -> NodeId {
-        let rows: Vec<NodeId> = batch.iter().map(|t| self.forward(g, t)).collect();
-        g.stack_rows(&rows)
-    }
-
-    /// Inference-only encoding (no tape, no saved activations).
-    ///
-    /// Mirrors [`Self::forward`] kernel for kernel, so the result is
-    /// bit-identical to a tape-built pass (pinned by
-    /// `encode_matches_tape_forward_bitwise`) at a fraction of the
-    /// allocation cost — this is the serving hot path.
+    /// Inference-only encoding of one sequence: row 0 of
+    /// [`Self::encode_batch`], bit-identical to [`Self::forward`].
     pub fn encode(&self, tokens: &[TokenId]) -> Tensor {
-        let n = tokens.len().min(self.max_tokens);
-        let toks = &tokens[..n];
-        let mut x = self.embed.infer(toks);
-        let ids: Vec<u32> = (0..n as u32).collect();
-        let pos = infer::gather_rows(&self.pos.value, &ids);
-        x = infer::add(&x, &pos);
-        for b in &self.blocks {
-            x = b.infer(&x);
-        }
-        let x = self.ln.infer(&x);
-        let cls = infer::select_row(&x, 0);
-        self.proj.infer(&cls)
+        self.encode_batch(&[tokens])
     }
 
-    /// Inference-only batch encoding, one row per sequence. Sequences are
-    /// independent, so the batch parallelizes across worker threads, each
-    /// running the tapeless [`Self::encode`] over a contiguous block of
-    /// rows.
-    pub fn encode_batch(&self, batch: &[Vec<TokenId>]) -> Tensor {
-        let cols = self.proj.b.value.cols;
-        let mut out = Tensor::zeros(batch.len(), cols);
-        nettag_par::for_each_row_block_mut(&mut out.data, cols, |first_row, chunk| {
-            for (bi, row) in chunk.chunks_exact_mut(cols).enumerate() {
-                let e = self.encode(&batch[first_row + bi]);
-                row.copy_from_slice(&e.data);
-            }
-        });
-        out
+    /// Inference-only batch encoding (no tape), one row per sequence,
+    /// `batch.len() × embed_dim`; an empty batch gives `0 × embed_dim`.
+    ///
+    /// The rows of every sequence (truncated to `max_tokens`) are packed
+    /// into one tensor, so each block's row-wise ops run once over all of
+    /// them through the row-parallel kernels while attention stays inside
+    /// each sequence. The last block carries only the `[CLS]` rows past
+    /// its keys and values, since nothing else is read. Every kernel
+    /// computes each row on its own, so row `i` is bitwise
+    /// [`Self::forward`] of `batch[i]` on the scalar and AVX2 tiers
+    /// (pinned by `tests/exprllm_packed.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sequence is empty.
+    pub fn encode_batch<T: AsRef<[TokenId]>>(&self, batch: &[T]) -> Tensor {
+        let mut spans = Vec::with_capacity(batch.len());
+        let (mut ids, mut positions) = (Vec::new(), Vec::new());
+        for t in batch {
+            let toks = t.as_ref();
+            let n = toks.len().min(self.max_tokens);
+            assert!(n > 0, "ExprLLM needs at least one token per sequence");
+            spans.push(ids.len()..ids.len() + n);
+            ids.extend_from_slice(&toks[..n]);
+            positions.extend(0..n as u32);
+        }
+        let mut x = self.embed.infer(&ids);
+        x.add_assign(&infer::gather_rows(&self.pos.value, &positions));
+        for (i, b) in self.blocks.iter().enumerate() {
+            x = b.infer(&x, &spans, i + 1 == self.blocks.len());
+        }
+        if self.blocks.is_empty() {
+            let firsts: Vec<u32> = spans.iter().map(|s| s.start as u32).collect();
+            x = infer::gather_rows(&x, &firsts);
+        }
+        self.proj.infer(&self.ln.infer(&x))
     }
 }
 

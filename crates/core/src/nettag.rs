@@ -207,11 +207,16 @@ impl NetTag {
                 .map(|(id, g)| (g.name.as_str(), p[id.index()]))
                 .collect()
         });
-        let tags: Vec<Tag> = chunk_into_cones(netlist)
-            .iter()
-            .map(|cone| cone_to_netlist(netlist, cone))
-            .filter(|sub| sub.gate_count() >= 2)
-            .map(|sub| match &by_name {
+        // Cone TAG builds and TAGFormer passes are independent per cone,
+        // so both run over the worker pool; the `[CLS]` rows are summed in
+        // cone order, as a serial loop would.
+        let cones = chunk_into_cones(netlist);
+        let tags: Vec<Tag> = nettag_par::map_indexed(cones.len(), |i| {
+            let sub = cone_to_netlist(netlist, &cones[i]);
+            if sub.gate_count() < 2 {
+                return None;
+            }
+            Some(match &by_name {
                 Some(by_name) => {
                     let fallback = nettag_netlist::synthesis_phys_estimates(&sub, lib);
                     let props: Vec<PhysProps> = sub
@@ -227,12 +232,18 @@ impl NetTag {
                 }
                 None => Tag::from_netlist(&sub, lib, &opts),
             })
-            .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let refs: Vec<&Tag> = tags.iter().collect();
         let features = self.features_of(&refs, &Self::vocab());
+        let cls = nettag_par::map_indexed(tags.len(), |i| {
+            self.embed_tag_with_features(&tags[i], &features[i]).cls
+        });
         let mut total = Tensor::zeros(1, self.config.embed_dim);
-        for (tag, f) in tags.iter().zip(&features) {
-            total.add_assign(&self.embed_tag_with_features(tag, f).cls);
+        for c in &cls {
+            total.add_assign(c);
         }
         total
     }

@@ -7,18 +7,31 @@
 //! module gives every layer an `infer` method that produces plain
 //! [`Tensor`]s and drops intermediates as soon as their consumers finish.
 //!
-//! **Bitwise contract:** each function here calls the *same* kernels in
-//! the *same* order as the corresponding tape op (`matmul_bias`,
-//! `softmax_rows`, the layer-norm reduction loop, the tanh-GELU scalar),
-//! so tapeless outputs are bit-identical to `Graph`-built forwards — the
-//! `tapeless_equivalence` test pins this. Keep the two in lockstep when
-//! touching either side.
+//! Attention and the transformer block run over **packed sequences**:
+//! the rows of many independent sequences sit in one tensor, every
+//! row-wise op (layer norm, projections, FFN, residuals) runs once over
+//! all of them, and attention stays inside each sequence's row span.
+//! All heads' Q, K and V come from one `matmul_bias` each, against the
+//! heads' weights concatenated by column.
+//!
+//! **Bitwise contract:** every kernel computes each output row on its
+//! own, and each output element with the same reduction the tape op uses
+//! (ascending-`k` products, the crate's `dot` order, the shared softmax
+//! row, the layer-norm row kernel, the tanh-GELU scalar). Packing rows,
+//! fusing head columns or splitting rows over threads therefore changes
+//! no bit: tapeless outputs equal `Graph`-built forwards on the scalar
+//! and AVX2 tiers, as the tests below and `nettag-core`'s
+//! `exprllm_packed` pin. The opt-in FMA tier fuses its vector lanes but
+//! not its scalar tails, so there a column's rounding depends on where it
+//! lands and the two forwards may differ in low bits.
 
 use crate::graph::gelu;
 use crate::layers::{
     Embedding, FeedForward, LayerNorm, Linear, Mlp, MultiHeadAttention, TransformerBlock,
 };
-use crate::tensor::{SparseMatrix, Tensor};
+use crate::tensor::{run_row_blocks, softmax_row, SparseMatrix, Tensor};
+use std::ops::Range;
+use std::slice;
 
 impl Linear {
     /// Tapeless `x @ W + b` (mirrors [`Graph::linear`](crate::Graph::linear)).
@@ -46,23 +59,27 @@ impl Embedding {
 
 impl LayerNorm {
     /// Tapeless row-wise layer norm (same per-row reduction order as the
-    /// tape op: ascending-column mean, then variance, then normalize).
+    /// tape op: ascending-column mean, then variance, then normalize),
+    /// row-parallel once the tensor is large enough.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         const EPS: f32 = 1e-5;
         let (gv, bv) = (&self.gain.value, &self.bias.value);
         let cols = x.cols;
         let mut out = Tensor::zeros(x.rows, x.cols);
         let kn = crate::simd::kernels();
-        // The row kernel also emits xhat (the tape op saves it for the
-        // backward pass); serving discards it via one scratch row.
-        let mut xhat = vec![0.0f32; cols];
-        for (r, out_row) in out.data.chunks_exact_mut(cols).enumerate() {
-            let row = x.row_slice(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let istd = 1.0 / (var + EPS).sqrt();
-            (kn.ln_fwd_row)(out_row, &mut xhat, row, &gv.data, &bv.data, mean, istd);
-        }
+        // About eight flops per element: two reductions and the row kernel.
+        run_row_blocks(&mut out.data, cols, 8 * x.data.len(), |first_row, chunk| {
+            // The row kernel also emits xhat (the tape op saves it for the
+            // backward pass); inference discards it via one scratch row.
+            let mut xhat = vec![0.0f32; cols];
+            for (r, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
+                let row = x.row_slice(first_row + r);
+                let mean = row.iter().sum::<f32>() / cols as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+                let istd = 1.0 / (var + EPS).sqrt();
+                (kn.ln_fwd_row)(out_row, &mut xhat, row, &gv.data, &bv.data, mean, istd);
+            }
+        });
         out
     }
 }
@@ -74,44 +91,135 @@ impl MultiHeadAttention {
     }
 
     /// Tapeless cross-attention (queries from `query`, keys/values from
-    /// `context`) — mirrors
-    /// [`MultiHeadAttention::forward_cross`](crate::layers::MultiHeadAttention::forward_cross)
-    /// kernel for kernel.
+    /// `context`), bitwise equal to
+    /// [`MultiHeadAttention::forward_cross`](crate::layers::MultiHeadAttention::forward_cross).
     pub fn infer_cross(&self, query: &Tensor, context: &Tensor) -> Tensor {
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut heads = Vec::with_capacity(self.wq.len());
-        for h in 0..self.wq.len() {
-            let q = self.wq[h].infer(query);
-            let k = self.wk[h].infer(context);
-            let v = self.wv[h].infer(context);
-            let scores = q.matmul_bt(&k);
-            let scaled = scores.map(|s| s * scale);
-            let attn = scaled.softmax_rows();
-            heads.push(attn.matmul(&v));
-        }
-        let cat = concat_cols(&heads);
+        let (q, c) = (0..query.rows, 0..context.rows);
+        self.infer_packed(query, context, slice::from_ref(&q), slice::from_ref(&c))
+    }
+
+    /// Tapeless attention over packed sequences: the query rows
+    /// `query_spans[s]` of `query` attend to the rows `context_spans[s]`
+    /// of `context` and nothing else. Q, K and V each take one
+    /// `matmul_bias` over all rows; scores, softmax and `A·V` run per
+    /// head on column slices, in blocks of query rows spread over the
+    /// worker pool. Output is `query.rows × d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the two span lists have equal length and
+    /// `query_spans` tiles `0..query.rows` in order.
+    pub fn infer_packed(
+        &self,
+        query: &Tensor,
+        context: &Tensor,
+        query_spans: &[Range<usize>],
+        context_spans: &[Range<usize>],
+    ) -> Tensor {
+        assert_eq!(query_spans.len(), context_spans.len(), "one span per side");
+        assert!(
+            query_spans.windows(2).all(|w| w[0].end == w[1].start)
+                && query_spans.first().map_or(0, |r| r.start) == 0
+                && query_spans.last().map_or(0, |r| r.end) == query.rows,
+            "query spans must tile the query rows in order"
+        );
+        let q = infer_heads(&self.wq, query);
+        let k = infer_heads(&self.wk, context);
+        let v = infer_heads(&self.wv, context);
+        let (width, hd) = (q.cols, self.head_dim);
+        let scale = 1.0 / (hd as f32).sqrt();
+        let flops: usize = query_spans
+            .iter()
+            .zip(context_spans)
+            .map(|(qs, cs)| 2 * qs.len() * cs.len() * width)
+            .sum();
+        let mut cat = Tensor::zeros(query.rows, width);
+        let kn = crate::simd::kernels();
+        run_row_blocks(&mut cat.data, width, flops, |first_row, chunk| {
+            let mut s = query_spans.partition_point(|r| r.end <= first_row);
+            let mut p = Vec::new();
+            for (bi, out_row) in chunk.chunks_exact_mut(width).enumerate() {
+                let i = first_row + bi;
+                while query_spans[s].end <= i {
+                    s += 1;
+                }
+                let ctx = context_spans[s].clone();
+                for (h, out) in out_row.chunks_exact_mut(hd).enumerate() {
+                    let cols = h * hd..(h + 1) * hd;
+                    let qh = &q.row_slice(i)[cols.clone()];
+                    // scores · scale, softmax, then A·V as ascending-j
+                    // axpys: the tape's matmul_bt / scale / softmax_rows /
+                    // matmul, element for element.
+                    p.clear();
+                    p.extend(
+                        ctx.clone()
+                            .map(|j| (kn.dot)(qh, &k.row_slice(j)[cols.clone()]) * scale),
+                    );
+                    softmax_row(&mut p);
+                    for (&pj, j) in p.iter().zip(ctx.clone()) {
+                        (kn.axpy)(out, pj, &v.row_slice(j)[cols.clone()]);
+                    }
+                }
+            }
+        });
         self.wo.infer(&cat)
     }
+}
+
+/// `x @ [W_0 | W_1 | …] + [b_0 | b_1 | …]`: every head's projection in one
+/// `matmul_bias`, head `h` in columns `h·head_dim..(h+1)·head_dim`. Each
+/// element is the same ascending-`k` sum plus bias as `heads[h].infer(x)`,
+/// so the columns are bitwise those per-head products, while the wide
+/// output runs through the register tiles.
+fn infer_heads(heads: &[Linear], x: &Tensor) -> Tensor {
+    let w: Vec<&Tensor> = heads.iter().map(|l| &l.w.value).collect();
+    let b: Vec<&Tensor> = heads.iter().map(|l| &l.b.value).collect();
+    x.matmul_bias(&concat_cols(&w), &concat_cols(&b))
 }
 
 impl FeedForward {
     /// Tapeless position-wise FFN (GELU between the two projections).
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        let h = self.lin1.infer(x);
-        let a = h.map(gelu);
-        self.lin2.infer(&a)
+        let mut h = self.lin1.infer(x);
+        // GELU's tanh is worth about sixteen flops per element.
+        let len = h.data.len();
+        run_row_blocks(&mut h.data, h.cols, 16 * len, |_, chunk| {
+            for v in chunk.iter_mut() {
+                *v = gelu(*v);
+            }
+        });
+        self.lin2.infer(&h)
     }
 }
 
 impl TransformerBlock {
-    /// Tapeless pre-norm block with residual connections.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
+    /// Tapeless pre-norm block over packed sequences: sequence `s` is rows
+    /// `spans[s]` of `x`, and attention stays inside each span. With
+    /// `first_rows_only` the block keeps only each sequence's first row
+    /// (its `[CLS]` position): keys and values still cover every row, but
+    /// queries, `W_o`, the second norm and the FFN run on one row per
+    /// sequence, and the result is those `spans.len()` rows of the full
+    /// block, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first_rows_only` and a span is empty.
+    pub fn infer(&self, x: &Tensor, spans: &[Range<usize>], first_rows_only: bool) -> Tensor {
         let n1 = self.ln1.infer(x);
-        let a = self.attn.infer(&n1);
-        let x1 = add(x, &a);
+        let (mut x1, a) = if first_rows_only {
+            assert!(spans.iter().all(|s| !s.is_empty()), "empty sequence");
+            let firsts: Vec<u32> = spans.iter().map(|s| s.start as u32).collect();
+            let one_each: Vec<Range<usize>> = (0..spans.len()).map(|s| s..s + 1).collect();
+            let q = gather_rows(&n1, &firsts);
+            let a = self.attn.infer_packed(&q, &n1, &one_each, spans);
+            (gather_rows(x, &firsts), a)
+        } else {
+            (x.clone(), self.attn.infer_packed(&n1, &n1, spans, spans))
+        };
+        x1.add_assign(&a);
         let n2 = self.ln2.infer(&x1);
-        let f = self.ffn.infer(&n2);
-        add(&x1, &f)
+        x1.add_assign(&self.ffn.infer(&n2));
+        x1
     }
 }
 
@@ -156,7 +264,7 @@ pub fn gather_rows(table: &Tensor, ids: &[u32]) -> Tensor {
 
 /// Horizontal concatenation of equal-row tensors (mirrors
 /// [`Graph::concat_cols`](crate::Graph::concat_cols)).
-pub fn concat_cols(parts: &[Tensor]) -> Tensor {
+pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
     assert!(!parts.is_empty(), "concat of nothing");
     let rows = parts[0].rows;
     let total: usize = parts.iter().map(|p| p.cols).sum();
@@ -238,21 +346,65 @@ pub fn normalize_rows(x: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::{SimdTier, MM_CT, MM_RT};
     use crate::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn transformer_block_infer_matches_tape_bitwise() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let block = TransformerBlock::new(16, 4, 2, &mut rng);
-        let x = Tensor::xavier(7, 16, &mut rng);
+    /// The bitwise tiers this host runs (scalar always, AVX2 if detected).
+    fn bitwise_tiers() -> Vec<SimdTier> {
+        [SimdTier::Scalar, SimdTier::Avx2]
+            .into_iter()
+            .filter(|&t| crate::simd::kernels_for(t).is_some())
+            .collect()
+    }
+
+    fn tape_block(block: &TransformerBlock, x: &Tensor) -> Tensor {
         let mut g = Graph::new();
         let xn = g.constant(x.clone());
         let y = block.forward(&mut g, xn);
-        let y_tape = g.value(y).clone();
-        let y_infer = block.infer(&x);
-        assert_eq!(y_tape.data, y_infer.data, "tapeless must be bit-identical");
+        g.value(y).clone()
+    }
+
+    #[test]
+    fn packed_transformer_block_matches_tape_bitwise() {
+        let mut rng = StdRng::seed_from_u64(99);
+        let block = TransformerBlock::new(16, 4, 2, &mut rng);
+        let lens = [7, 1, 3, MM_RT, 17, 2];
+        let seqs: Vec<Tensor> = lens
+            .iter()
+            .map(|&n| Tensor::xavier(n, 16, &mut rng))
+            .collect();
+        let refs: Vec<&Tensor> = seqs.iter().collect();
+        let packed = concat_rows(&seqs);
+        let mut spans = Vec::new();
+        for &n in &lens {
+            let start = spans.last().map_or(0, |r: &Range<usize>| r.end);
+            spans.push(start..start + n);
+        }
+        for tier in bitwise_tiers() {
+            crate::simd::with_tier(tier, || {
+                let tape: Vec<Tensor> = refs.iter().map(|x| tape_block(&block, x)).collect();
+                assert_eq!(
+                    block
+                        .infer(&seqs[0], slice::from_ref(&spans[0]), false)
+                        .data,
+                    tape[0].data,
+                    "{tier:?}: one sequence"
+                );
+                let full = block.infer(&packed, &spans, false);
+                assert_eq!(full.data, concat_rows(&tape).data, "{tier:?}: packed");
+                let firsts = block.infer(&packed, &spans, true);
+                assert_eq!(firsts.rows, lens.len());
+                for (s, t) in tape.iter().enumerate() {
+                    assert_eq!(
+                        firsts.row_slice(s),
+                        t.row_slice(0),
+                        "{tier:?}: first row {s}"
+                    );
+                }
+            });
+        }
     }
 
     #[test]
@@ -279,6 +431,72 @@ mod tests {
             attn.infer_cross(&kv, &kv).data,
             "forward(x) == infer_cross(x, x) bit for bit"
         );
+    }
+
+    /// The fused Q/K/V product runs through the register tiles and the
+    /// remainder path depending on `heads · head_dim` and the query row
+    /// count: cover head widths below and at least `MM_CT`, query rows
+    /// below and at least `MM_RT`, one sequence and packed.
+    #[test]
+    fn attention_infer_matches_tape_across_tile_shapes() {
+        let mut rng = StdRng::seed_from_u64(7);
+        // (dim, heads): head_dim 12 < MM_CT with a 16 + 8 fused width,
+        // head_dim 6 with a fused width below MM_CT, head_dim 32 >= MM_CT.
+        let shapes = [(24, 2), (12, 2), (64, 2)];
+        assert!(shapes.iter().any(|&(d, h)| d / h < MM_CT));
+        assert!(shapes.iter().any(|&(d, h)| d / h >= MM_CT));
+        for (dim, heads) in shapes {
+            let attn = MultiHeadAttention::new(dim, heads, &mut rng);
+            let hd = attn.head_dim;
+            let ctx_rows = [11, 2, MM_RT + 1];
+            let q_rows = [1, MM_RT - 1, MM_RT, 2 * MM_RT + 1];
+            let ctxs: Vec<Tensor> = ctx_rows
+                .iter()
+                .map(|&n| Tensor::xavier(n, dim, &mut rng))
+                .collect();
+            let qs: Vec<Tensor> = q_rows
+                .iter()
+                .map(|&m| Tensor::xavier(m, dim, &mut rng))
+                .collect();
+            for tier in bitwise_tiers() {
+                crate::simd::with_tier(tier, || {
+                    let mut want = Vec::new();
+                    let (mut q_spans, mut c_spans, mut q_parts, mut c_parts) =
+                        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+                    for (qi, q) in qs.iter().enumerate() {
+                        let ctx = &ctxs[qi % ctxs.len()];
+                        let mut g = Graph::new();
+                        let (qn, cn) = (g.constant(q.clone()), g.constant(ctx.clone()));
+                        let y = attn.forward_cross(&mut g, qn, cn);
+                        let tape = g.value(y).clone();
+                        assert_eq!(
+                            attn.infer_cross(q, ctx).data,
+                            tape.data,
+                            "{tier:?} dim {dim} head_dim {hd}: {} query rows",
+                            q.rows
+                        );
+                        let q0 = q_spans.last().map_or(0, |r: &Range<usize>| r.end);
+                        let c0 = c_spans.last().map_or(0, |r: &Range<usize>| r.end);
+                        q_spans.push(q0..q0 + q.rows);
+                        c_spans.push(c0..c0 + ctx.rows);
+                        q_parts.push(q.clone());
+                        c_parts.push(ctx.clone());
+                        want.push(tape);
+                    }
+                    let packed = attn.infer_packed(
+                        &concat_rows(&q_parts),
+                        &concat_rows(&c_parts),
+                        &q_spans,
+                        &c_spans,
+                    );
+                    assert_eq!(
+                        packed.data,
+                        concat_rows(&want).data,
+                        "{tier:?} dim {dim}: packed"
+                    );
+                });
+            }
+        }
     }
 
     #[test]

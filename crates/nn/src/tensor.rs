@@ -427,17 +427,8 @@ impl Tensor {
     /// Row-wise softmax (numerically stabilized).
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
-        for r in 0..self.rows {
-            let row = &mut out.data[r * self.cols..(r + 1) * self.cols];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum.max(1e-20);
-            }
+        if self.cols > 0 {
+            out.data.chunks_exact_mut(self.cols).for_each(softmax_row);
         }
         out
     }
@@ -452,10 +443,24 @@ impl Tensor {
     }
 }
 
+/// In-place numerically stabilized softmax of one row: the max, then
+/// `exp(v - max)` summed in ascending order, then one division each.
+pub(crate) fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum.max(1e-20);
+    }
+}
+
 /// Dispatches a row-partitioned kernel: parallel across threads when the
-/// product is large enough, otherwise inline on the caller's thread with
-/// the identical per-row code path.
-fn run_row_blocks<F>(out: &mut [f32], width: usize, flops: usize, f: F)
+/// work (`flops`) is large enough, otherwise inline on the caller's
+/// thread with the identical per-row code path.
+pub(crate) fn run_row_blocks<F>(out: &mut [f32], width: usize, flops: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
