@@ -13,10 +13,13 @@
 //!   for these entries `seed_seconds` records the serial reference, so
 //!   `speedup` is the data-parallel term directly
 //! * the `simd` group: the same dispatch-table code path timed under a
-//!   forced-scalar tier and under runtime dispatch (axpy/dot at 1k and
-//!   64k elements, matmul_512, spmm_powerlaw) — `scalar_seconds` is the
-//!   pinned-scalar leg, so `speedup` isolates the lane-vectorization
-//!   term; set `NETTAG_SIMD` to probe a specific tier
+//!   forced-scalar tier and under runtime dispatch (axpy at 1k and 64k
+//!   elements, matmul_512, spmm_powerlaw, and the attention-shaped
+//!   products of one `small`-model head over a 41-token sequence:
+//!   41×41×12 scores (`matmul_bt`), 41×41→12 `P·V` (`matmul`),
+//!   41×48ᵀ·41×12 (`matmul_at`), plus one packed `infer_packed` batch) —
+//!   `scalar_seconds` is the pinned-scalar leg, so `speedup` isolates the
+//!   lane-vectorization term; set `NETTAG_SIMD` to probe a specific tier
 //!
 //! Run with `cargo bench -p nettag-bench --bench kernels`. Thread count
 //! follows `RAYON_NUM_THREADS` / `NETTAG_NUM_THREADS`. Results (and the
@@ -26,8 +29,8 @@
 
 use nettag_nn::simd::{self, SimdTier};
 use nettag_nn::{
-    data_parallel, info_nce, weighted_sum, GradStore, Graph, Mlp, NodeId, Param, SampleTape,
-    SparseMatrix, Tensor,
+    data_parallel, info_nce, weighted_sum, GradStore, Graph, Mlp, MultiHeadAttention, NodeId,
+    Param, SampleTape, SparseMatrix, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -367,14 +370,6 @@ fn main() {
         let (scalar_s, disp_s) = simd_pair(&mut f);
         simd_entries.push((name, scalar_s, disp_s));
     }
-    for (name, len) in [("dot_1k", 1_000usize), ("dot_64k", 65_536)] {
-        let (x, y) = rand_pair(len, &mut rng);
-        let mut f = || {
-            black_box((simd::kernels().dot)(&x, &y));
-        };
-        let (scalar_s, disp_s) = simd_pair(&mut f);
-        simd_entries.push((name, scalar_s, disp_s));
-    }
     {
         let mut f = || {
             black_box(a.matmul(&b));
@@ -390,31 +385,80 @@ fn main() {
         simd_entries.push(("spmm_powerlaw", scalar_s, disp_s));
     }
 
+    // Attention-shaped products: one `small`-model head (width 12, model
+    // width 48) over a 41-token sequence, the shapes ExprLLM and the tape
+    // run per head — scores Q·Kᵀ, P·V, and the weight/value gradients.
+    {
+        let (n, d, hd) = (41usize, 48usize, 12usize);
+        let q = Tensor::xavier(n, hd, &mut rng);
+        let k = Tensor::xavier(n, hd, &mut rng);
+        let p = Tensor::xavier(n, n, &mut rng).softmax_rows();
+        let x = Tensor::xavier(n, d, &mut rng);
+        assert_eq!(q.matmul_bt(&k).data, q.matmul_bt_ref(&k).data);
+        assert_eq!(p.matmul(&q).data, p.matmul_ref(&q).data);
+        assert_eq!(x.matmul_at(&q).data, x.matmul_at_ref(&q).data);
+        let mut f = || {
+            black_box(q.matmul_bt(&k));
+        };
+        let (scalar_s, disp_s) = simd_pair(&mut f);
+        simd_entries.push(("attn_scores_41x41x12", scalar_s, disp_s));
+        let mut f = || {
+            black_box(p.matmul(&k));
+        };
+        let (scalar_s, disp_s) = simd_pair(&mut f);
+        simd_entries.push(("attn_pv_41x41x12", scalar_s, disp_s));
+        let mut f = || {
+            black_box(x.matmul_at(&q));
+        };
+        let (scalar_s, disp_s) = simd_pair(&mut f);
+        simd_entries.push(("attn_matmul_at_41x48_41x12", scalar_s, disp_s));
+
+        // One packed batch as ExprLLM runs it: 16 sequences of 20–60
+        // tokens in one tensor, 4 heads of 12, attention inside each span.
+        let attn = MultiHeadAttention::new(d, 4, &mut rng);
+        let mut spans = Vec::new();
+        for _ in 0..16 {
+            let start = spans.last().map_or(0, |s: &std::ops::Range<usize>| s.end);
+            spans.push(start..start + rng.gen_range(20usize..61));
+        }
+        let rows = Tensor::xavier(spans.last().map_or(0, |s| s.end), d, &mut rng);
+        let mut f = || {
+            black_box(attn.infer_packed(&rows, &rows, &spans, &spans));
+        };
+        let (scalar_s, disp_s) = simd_pair(&mut f);
+        simd_entries.push(("attn_infer_packed_16seq", scalar_s, disp_s));
+    }
+
     // --- report ------------------------------------------------------
     println!("kernel benches ({threads} thread(s)):");
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    if host_cpus == 1 {
-        json.push_str(
-            "  \"note\": \"single-core host: only the cache/register-tiling term is \
-             measured; the row-parallel and data-parallel train_step terms need a \
-             multi-core re-record\",\n",
-        );
-    }
+    let note = if host_cpus == 1 {
+        "single-core host: only the cache/register-tiling term is measured; the \
+         row-parallel and data-parallel train_step terms need a multi-core re-record"
+            .to_string()
+    } else {
+        format!(
+            "{host_cpus}-core host, {threads} worker thread(s): the row-parallel and \
+             data-parallel terms are measured; the attn_* simd entries are one small-model \
+             head (41 tokens, width 12) and one packed 16-sequence attention batch"
+        )
+    };
+    json.push_str(&format!("  \"note\": \"{note}\",\n"));
     json.push_str("  \"kernels\": {\n");
     for (i, e) in entries.iter().enumerate() {
         let speedup = e.seed_seconds.map(|s| s / e.seconds);
         match (e.seed_seconds, speedup) {
             (Some(seed), Some(sp)) => println!(
-                "  {:<24} {:>10.3} ms   (seed {:>10.3} ms, speedup {:.2}x)",
+                "  {:<26} {:>10.2} us   (seed {:>10.2} us, speedup {:.2}x)",
                 e.name,
-                e.seconds * 1e3,
-                seed * 1e3,
+                e.seconds * 1e6,
+                seed * 1e6,
                 sp
             ),
-            _ => println!("  {:<24} {:>10.3} ms", e.name, e.seconds * 1e3),
+            _ => println!("  {:<26} {:>10.2} us", e.name, e.seconds * 1e6),
         }
         json.push_str(&format!(
             "    \"{}\": {{\"seconds\": {:.6e}{}}}{}\n",
@@ -436,10 +480,10 @@ fn main() {
     for (i, (name, scalar_s, disp_s)) in simd_entries.iter().enumerate() {
         let sp = scalar_s / disp_s;
         println!(
-            "  {:<24} {:>10.3} ms   (scalar {:>10.3} ms, speedup {:.2}x)",
+            "  {:<26} {:>10.2} us   (scalar {:>10.2} us, speedup {:.2}x)",
             name,
-            disp_s * 1e3,
-            scalar_s * 1e3,
+            disp_s * 1e6,
+            scalar_s * 1e6,
             sp
         );
         json.push_str(&format!(

@@ -12,7 +12,9 @@
 //! row-wise op (layer norm, projections, FFN, residuals) runs once over
 //! all of them, and attention stays inside each sequence's row span.
 //! All heads' Q, K and V come from one `matmul_bias` each, against the
-//! heads' weights concatenated by column.
+//! heads' weights concatenated by column; each head's scores and `P·V`
+//! run through the same register tiles as the tape's `matmul_bt` and
+//! `matmul`.
 //!
 //! **Bitwise contract:** every kernel computes each output row on its
 //! own, and each output element with the same reduction the tape op uses
@@ -21,15 +23,16 @@
 //! fusing head columns or splitting rows over threads therefore changes
 //! no bit: tapeless outputs equal `Graph`-built forwards on the scalar
 //! and AVX2 tiers, as the tests below and `nettag-core`'s
-//! `exprllm_packed` pin. The opt-in FMA tier fuses its vector lanes but
-//! not its scalar tails, so there a column's rounding depends on where it
-//! lands and the two forwards may differ in low bits.
+//! `exprllm_packed` pin. The opt-in FMA tier is held only to its
+//! ulp-tolerance contract against scalar (`tests/simd_fma.rs`), not to
+//! this pin.
 
 use crate::graph::gelu;
 use crate::layers::{
     Embedding, FeedForward, LayerNorm, Linear, Mlp, MultiHeadAttention, TransformerBlock,
 };
-use crate::tensor::{run_row_blocks, softmax_row, SparseMatrix, Tensor};
+use crate::simd::{BT_CT, MM_RT};
+use crate::tensor::{mm_rows, pack_bt, run_row_blocks, softmax_row, SparseMatrix, Tensor};
 use std::ops::Range;
 use std::slice;
 
@@ -102,7 +105,8 @@ impl MultiHeadAttention {
     /// `query_spans[s]` of `query` attend to the rows `context_spans[s]`
     /// of `context` and nothing else. Q, K and V each take one
     /// `matmul_bias` over all rows; scores, softmax and `A·V` run per
-    /// head on column slices, in blocks of query rows spread over the
+    /// span and head on column slices through the `matmul_bt` and
+    /// `matmul` register tiles, in blocks of query rows spread over the
     /// worker pool. Output is `query.rows × d`.
     ///
     /// # Panics
@@ -136,28 +140,47 @@ impl MultiHeadAttention {
         let mut cat = Tensor::zeros(query.rows, width);
         let kn = crate::simd::kernels();
         run_row_blocks(&mut cat.data, width, flops, |first_row, chunk| {
-            let mut s = query_spans.partition_point(|r| r.end <= first_row);
-            let mut p = Vec::new();
-            for (bi, out_row) in chunk.chunks_exact_mut(width).enumerate() {
-                let i = first_row + bi;
-                while query_spans[s].end <= i {
-                    s += 1;
+            let end_row = first_row + chunk.len() / width;
+            let (mut kpack, mut p) = (Vec::new(), Vec::new());
+            let first = query_spans.partition_point(|r| r.end <= first_row);
+            for (qs, ctx) in query_spans[first..].iter().zip(&context_spans[first..]) {
+                let rows = qs.start.max(first_row)..qs.end.min(end_row);
+                if qs.start >= end_row {
+                    break;
                 }
-                let ctx = context_spans[s].clone();
-                for (h, out) in out_row.chunks_exact_mut(hd).enumerate() {
-                    let cols = h * hd..(h + 1) * hd;
-                    let qh = &q.row_slice(i)[cols.clone()];
-                    // scores · scale, softmax, then A·V as ascending-j
-                    // axpys: the tape's matmul_bt / scale / softmax_rows /
-                    // matmul, element for element.
-                    p.clear();
-                    p.extend(
-                        ctx.clone()
-                            .map(|j| (kn.dot)(qh, &k.row_slice(j)[cols.clone()]) * scale),
-                    );
-                    softmax_row(&mut p);
-                    for (&pj, j) in p.iter().zip(ctx.clone()) {
-                        (kn.axpy)(out, pj, &v.row_slice(j)[cols.clone()]);
+                if rows.is_empty() || ctx.is_empty() {
+                    continue;
+                }
+                let padded = ctx.len().next_multiple_of(BT_CT);
+                for c0 in (0..width).step_by(hd) {
+                    // The tape's matmul_bt / scale / softmax_rows /
+                    // matmul per head, on column slices: scores are one
+                    // packed Kᵀ sweep per query row, P·V one register
+                    // tile per MM_RT query rows.
+                    let kh = &k.data[ctx.start * width + c0..];
+                    pack_bt(kh, width, ctx.len(), hd, &mut kpack);
+                    for i0 in rows.clone().step_by(MM_RT) {
+                        let r = (rows.end - i0).min(MM_RT);
+                        p.resize(r * padded, 0.0);
+                        for (t, prow) in p.chunks_exact_mut(padded).enumerate() {
+                            (kn.bt_row)(&q.row_slice(i0 + t)[c0..c0 + hd], &kpack, prow);
+                            let prow = &mut prow[..ctx.len()];
+                            for s in prow.iter_mut() {
+                                *s *= scale;
+                            }
+                            softmax_row(prow);
+                        }
+                        let prows: [&[f32]; MM_RT] =
+                            std::array::from_fn(|t| &p[t.min(r - 1) * padded..][..ctx.len()]);
+                        mm_rows(
+                            kn,
+                            &prows[..r],
+                            &v.data[ctx.start * width + c0..],
+                            width,
+                            &mut chunk[(i0 - first_row) * width + c0..],
+                            width,
+                            hd,
+                        );
                     }
                 }
             }
@@ -433,23 +456,26 @@ mod tests {
         );
     }
 
-    /// The fused Q/K/V product runs through the register tiles and the
-    /// remainder path depending on `heads · head_dim` and the query row
-    /// count: cover head widths below and at least `MM_CT`, query rows
-    /// below and at least `MM_RT`, one sequence and packed.
+    /// The fused Q/K/V product, the packed `matmul_bt` score sweep and the
+    /// `P·V` tile run through full tiles and edge tiles depending on
+    /// `heads · head_dim`, the head width and the span lengths: cover head
+    /// widths below and at least `MM_CT` (with the `tiny` and `small`
+    /// models' 8 and 12), and packed query spans of every length 1–9
+    /// around `MM_RT`, one sequence and packed.
     #[test]
     fn attention_infer_matches_tape_across_tile_shapes() {
         let mut rng = StdRng::seed_from_u64(7);
-        // (dim, heads): head_dim 12 < MM_CT with a 16 + 8 fused width,
-        // head_dim 6 with a fused width below MM_CT, head_dim 32 >= MM_CT.
-        let shapes = [(24, 2), (12, 2), (64, 2)];
+        // (dim, heads): head_dim 12 with a 16 + 8 fused width, head_dim 8
+        // (fused 32), head_dim 6 with a fused width below MM_CT, head_dim
+        // 32 >= MM_CT.
+        let shapes = [(24, 2), (32, 4), (12, 2), (64, 2)];
         assert!(shapes.iter().any(|&(d, h)| d / h < MM_CT));
         assert!(shapes.iter().any(|&(d, h)| d / h >= MM_CT));
         for (dim, heads) in shapes {
             let attn = MultiHeadAttention::new(dim, heads, &mut rng);
             let hd = attn.head_dim;
-            let ctx_rows = [11, 2, MM_RT + 1];
-            let q_rows = [1, MM_RT - 1, MM_RT, 2 * MM_RT + 1];
+            let ctx_rows = [11, 2, MM_RT + 1, 1];
+            let q_rows: Vec<usize> = (1..=2 * MM_RT + 1).collect();
             let ctxs: Vec<Tensor> = ctx_rows
                 .iter()
                 .map(|&n| Tensor::xavier(n, dim, &mut rng))

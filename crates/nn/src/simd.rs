@@ -2,10 +2,23 @@
 //! whole numeric core.
 //!
 //! Every hot loop in the crate (`matmul`/`matmul_bt`/`matmul_at`/
-//! `matmul_bias` tiles, the CSR SpMM register tiles, `layer_norm`
-//! forward/backward rows, `Adam::step` elementwise updates, gradient
-//! accumulation) dispatches through the fn-pointer table returned by
-//! [`kernels`]. Three tiers implement the table:
+//! `matmul_bias` tiles, packed attention, the CSR SpMM register tiles,
+//! `layer_norm` forward/backward rows, `Adam::step` elementwise updates,
+//! gradient accumulation) dispatches through the fn-pointer table
+//! returned by [`kernels`]. The table's entries and the per-element
+//! reduction each one keeps:
+//!
+//! | entry | used by | per-element reduction |
+//! |-------|---------|-----------------------|
+//! | `axpy`, `add_assign`, `scale_add` | accumulation, residuals, SpMM tails | one mul-then-add (or add) per element |
+//! | `mm_tile` | full [`MM_RT`]×[`MM_CT`] tiles of `matmul`, `matmul_bias`, `matmul_at` | ascending `k`, starting from `out` |
+//! | `mm_edge` | row/column remainders of those tiles; head-width `P·V` and projections | ascending `k`, starting from `out` |
+//! | `bt_row` | `matmul_bt` and attention scores, over [`BT_CT`]-column packed Bᵀ panels | per output column, four partial lanes over ascending 4-chunks of `k`, combined `((l0+l1)+(l2+l3))+tail` |
+//! | `spmm_tile` | [`SPMM_CT`]-wide CSR SpMM tiles | ascending entry order |
+//! | `ln_fwd_row`, `ln_bwd_row` | layer norm rows | the scalar row formula, per element |
+//! | `adam_update` | `Adam::step` | the scalar step's op sequence |
+//!
+//! Three tiers implement the table:
 //!
 //! | tier | selected | reduction contract |
 //! |------|----------|--------------------|
@@ -58,6 +71,9 @@ pub const MM_RT: usize = 4;
 /// Register-tile width in floats of the dense matmul micro-kernel (two
 /// 8-wide vector registers).
 pub const MM_CT: usize = 16;
+/// Column-panel width of the packed `matmul_bt` row kernel
+/// ([`SimdKernels::bt_row`]): one vector register of output columns.
+pub const BT_CT: usize = 8;
 /// Feature-dim register-tile width of the CSR SpMM row kernel.
 pub const SPMM_CT: usize = 16;
 /// Vector width (f32 lanes) of the wide tiers.
@@ -126,6 +142,13 @@ pub struct AdamParams {
 pub type MmTileFn =
     fn(arows: &[&[f32]; MM_RT], b: &[f32], bstride: usize, out: &mut [f32], ostride: usize);
 
+/// Signature of [`SimdKernels::mm_edge`].
+pub type MmEdgeFn =
+    fn(arows: &[&[f32]], b: &[f32], bstride: usize, out: &mut [f32], ostride: usize, width: usize);
+
+/// Signature of [`SimdKernels::bt_row`].
+pub type BtRowFn = fn(a: &[f32], bpack: &[f32], out: &mut [f32]);
+
 /// Signature of [`SimdKernels::spmm_tile`].
 pub type SpmmTileFn = fn(cols: &[u32], ws: &[f32], x: &[f32], stride: usize, out: &mut [f32]);
 
@@ -160,9 +183,6 @@ pub struct SimdKernels {
     pub add_assign: fn(out: &mut [f32], x: &[f32]),
     /// `out[i] = out[i] * s + x[i]` (scale-accumulate).
     pub scale_add: fn(out: &mut [f32], s: f32, x: &[f32]),
-    /// Dot product with the crate's fixed reduction order: four partial
-    /// lanes over ascending 4-chunks, combined `((l0+l1)+(l2+l3))+tail`.
-    pub dot: fn(a: &[f32], b: &[f32]) -> f32,
     /// Dense matmul micro-kernel: one [`MM_RT`]×[`MM_CT`] output tile
     /// accumulated across the whole `k` sweep.
     /// `out[r*ostride + c] += Σ_k arows[r][k] * b[k*bstride + c]`,
@@ -170,6 +190,21 @@ pub struct SimdKernels {
     /// `(MM_RT-1)*ostride + MM_CT` floats, `b` must cover
     /// `(inner-1)*bstride + MM_CT` where `inner = arows[0].len()`.
     pub mm_tile: MmTileFn,
+    /// Dense matmul edge tile: the same ascending-`k` accumulation as
+    /// [`SimdKernels::mm_tile`] for a tile of `arows.len()` rows
+    /// (`1..=MM_RT`) by `width` columns (`1..=MM_CT`) — the row and column
+    /// remainders of a product, and every column of a head-width one.
+    /// `out[r*ostride + c] += Σ_k arows[r][k] * b[k*bstride + c]` for
+    /// `c < width`; floats past `width` in each row are not touched.
+    pub mm_edge: MmEdgeFn,
+    /// `matmul_bt` row kernel over packed Bᵀ panels:
+    /// `out[j] = dot(a, B_j)` with the crate's fixed dot reduction (four
+    /// partial lanes over ascending 4-chunks of `k`, combined
+    /// `((l0+l1)+(l2+l3))+tail`), for every `j < out.len()`, a multiple
+    /// of [`BT_CT`]. Panel `p` holds output columns `p*BT_CT..` as
+    /// `bpack[(p*inner + k)*BT_CT + t] = B_{p*BT_CT+t}[k]`, with
+    /// `inner = a.len()` (see `pack_bt` in `tensor.rs`).
+    pub bt_row: BtRowFn,
     /// CSR SpMM micro-kernel: one [`SPMM_CT`]-wide feature tile of an
     /// output row accumulated across the whole entry sweep.
     /// `out[c] += Σ_e ws[e] * x[cols[e]*stride + c]`, ascending entry
@@ -192,7 +227,7 @@ pub struct SimdKernels {
 /// as the shared helpers the scalar reference kernels in
 /// [`crate::tensor`] call directly.
 pub(crate) mod scalar {
-    use super::{AdamParams, LnBwdStats, MM_CT, MM_RT, SPMM_CT};
+    use super::{AdamParams, LnBwdStats, BT_CT, MM_CT, MM_RT, SPMM_CT};
 
     pub(crate) fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
         for (o, &xv) in out.iter_mut().zip(x.iter()) {
@@ -212,9 +247,9 @@ pub(crate) mod scalar {
         }
     }
 
-    /// Dot product with a fixed reduction order (4 partial lanes combined
-    /// in index order), shared by the parallel and reference `matmul_bt`
-    /// paths.
+    /// Dot product with the crate's fixed reduction order (4 partial
+    /// lanes combined in index order): the reference `matmul_bt` and the
+    /// contract [`bt_row`] keeps per column.
     pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
         let mut lanes = [0.0f32; 4];
         let mut chunks_a = a.chunks_exact(4);
@@ -256,6 +291,48 @@ pub(crate) mod scalar {
         }
         for (r, row) in acc.iter().enumerate() {
             out[r * ostride..r * ostride + MM_CT].copy_from_slice(row);
+        }
+    }
+
+    pub(crate) fn mm_edge(
+        arows: &[&[f32]],
+        b: &[f32],
+        bstride: usize,
+        out: &mut [f32],
+        ostride: usize,
+        width: usize,
+    ) {
+        for (r, arow) in arows.iter().enumerate() {
+            let orow = &mut out[r * ostride..r * ostride + width];
+            for (k, &av) in arow.iter().enumerate() {
+                axpy(orow, av, &b[k * bstride..k * bstride + width]);
+            }
+        }
+    }
+
+    /// [`dot`] against [`BT_CT`] packed columns at once: lane `l` of
+    /// column `t` sums `a[k] * B_t[k]` over `k ≡ l (mod 4)` below the
+    /// last whole 4-chunk, in ascending order, exactly as `dot` does.
+    pub(crate) fn bt_row(a: &[f32], bpack: &[f32], out: &mut [f32]) {
+        let inner = a.len();
+        let body = inner - inner % 4;
+        for (p, o) in out.chunks_exact_mut(BT_CT).enumerate() {
+            let panel = &bpack[p * inner * BT_CT..(p + 1) * inner * BT_CT];
+            let mut lanes = [[0.0f32; BT_CT]; 4];
+            let mut tail = [0.0f32; BT_CT];
+            for (k, &av) in a.iter().enumerate() {
+                let acc = if k < body {
+                    &mut lanes[k % 4]
+                } else {
+                    &mut tail
+                };
+                for (s, &bv) in acc.iter_mut().zip(&panel[k * BT_CT..(k + 1) * BT_CT]) {
+                    *s += av * bv;
+                }
+            }
+            for (t, slot) in o.iter_mut().enumerate() {
+                *slot = ((lanes[0][t] + lanes[1][t]) + (lanes[2][t] + lanes[3][t])) + tail[t];
+            }
         }
     }
 
@@ -330,8 +407,9 @@ static SCALAR: SimdKernels = SimdKernels {
     axpy: scalar::axpy,
     add_assign: scalar::add_assign,
     scale_add: scalar::scale_add,
-    dot: scalar::dot,
     mm_tile: scalar::mm_tile,
+    mm_edge: scalar::mm_edge,
+    bt_row: scalar::bt_row,
     spmm_tile: scalar::spmm_tile,
     ln_fwd_row: scalar::ln_fwd_row,
     ln_bwd_row: scalar::ln_bwd_row,

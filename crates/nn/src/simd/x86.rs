@@ -49,7 +49,8 @@ macro_rules! lane_tier {
     ($modname:ident, $feat:literal, $tier:expr, $fma:literal) => {
         mod $modname {
             use crate::simd::{
-                scalar, AdamParams, LnBwdStats, SimdKernels, SimdTier, LANES, MM_CT, MM_RT, SPMM_CT,
+                scalar, AdamParams, LnBwdStats, SimdKernels, SimdTier, BT_CT, LANES, MM_CT, MM_RT,
+                SPMM_CT,
             };
             use core::arch::x86_64::*;
 
@@ -60,8 +61,9 @@ macro_rules! lane_tier {
                 axpy,
                 add_assign,
                 scale_add,
-                dot,
                 mm_tile,
+                mm_edge,
+                bt_row,
                 spmm_tile,
                 ln_fwd_row,
                 ln_bwd_row,
@@ -88,19 +90,41 @@ macro_rules! lane_tier {
                 unsafe { _mm256_storeu_ps(x.as_mut_ptr().add(i), v) }
             }
 
+            /// Lane mask selecting the first `valid` (`1..=LANES`) lanes.
             #[target_feature(enable = $feat)]
             #[inline]
-            fn load4(x: &[f32], i: usize) -> __m128 {
-                debug_assert!(i + 4 <= x.len(), "simd load4 out of bounds");
-                // SAFETY: in-bounds by the assert above.
-                unsafe { _mm_loadu_ps(x.as_ptr().add(i)) }
+            fn mask(valid: usize) -> __m256i {
+                debug_assert!((1..=LANES).contains(&valid), "mask width");
+                _mm256_cmpgt_epi32(
+                    _mm256_set1_epi32(valid as i32),
+                    _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                )
             }
 
+            /// Loads the first `valid` lanes at `x[i..]` (the rest read as
+            /// zero) through `m = mask(valid)`.
             #[target_feature(enable = $feat)]
             #[inline]
-            fn store4(x: &mut [f32; 4], v: __m128) {
-                // SAFETY: the array type guarantees exactly 4 floats.
-                unsafe { _mm_storeu_ps(x.as_mut_ptr(), v) }
+            fn load_masked(x: &[f32], i: usize, m: __m256i, valid: usize) -> __m256 {
+                debug_assert!(i + valid <= x.len(), "simd masked load out of bounds");
+                // SAFETY: `i + valid <= x.len()` with `valid >= 1` (the
+                // assert above; in release, the operand bounds `mm_edge`
+                // asserts), so the pointer is in bounds and the enabled
+                // lanes stay inside `x[i..i + valid]`; masked-off lanes are
+                // neither read nor faulted (VMASKMOVPS).
+                unsafe { _mm256_maskload_ps(x.as_ptr().add(i), m) }
+            }
+
+            /// Stores the first `valid` lanes of `v` to `x[i..]` through
+            /// `m = mask(valid)`; the rest of `x` is not touched.
+            #[target_feature(enable = $feat)]
+            #[inline]
+            fn store_masked(x: &mut [f32], i: usize, m: __m256i, valid: usize, v: __m256) {
+                debug_assert!(i + valid <= x.len(), "simd masked store out of bounds");
+                // SAFETY: as for `load_masked`: only the enabled lanes,
+                // all inside `x[i..i + valid]`, are written; masked-off
+                // lanes are not touched.
+                unsafe { _mm256_maskstore_ps(x.as_mut_ptr().add(i), m, v) }
             }
 
             /// Fused multiply-add, only reachable when `USE_FMA` is true
@@ -109,12 +133,6 @@ macro_rules! lane_tier {
             #[inline]
             unsafe fn fused(a: __m256, b: __m256, c: __m256) -> __m256 {
                 _mm256_fmadd_ps(a, b, c)
-            }
-
-            #[target_feature(enable = "avx2,fma")]
-            #[inline]
-            unsafe fn fused4(a: __m128, b: __m128, c: __m128) -> __m128 {
-                _mm_fmadd_ps(a, b, c)
             }
 
             /// `c + a*b`. Unfused composition in the AVX2 tier (bitwise
@@ -129,17 +147,6 @@ macro_rules! lane_tier {
                     unsafe { fused(a, b, c) }
                 } else {
                     _mm256_add_ps(c, _mm256_mul_ps(a, b))
-                }
-            }
-
-            #[target_feature(enable = $feat)]
-            #[inline]
-            fn madd4(a: __m128, b: __m128, c: __m128) -> __m128 {
-                if USE_FMA {
-                    // SAFETY: as for `madd`.
-                    unsafe { fused4(a, b, c) }
-                } else {
-                    _mm_add_ps(c, _mm_mul_ps(a, b))
                 }
             }
 
@@ -216,35 +223,6 @@ macro_rules! lane_tier {
                 }
             }
 
-            fn dot(a: &[f32], b: &[f32]) -> f32 {
-                // SAFETY: features runtime-detected (see module docs).
-                unsafe { dot_impl(a, b) }
-            }
-
-            /// 4-wide on purpose: the crate's pinned reduction order is
-            /// four partial lanes combined `((l0+l1)+(l2+l3))+tail`, and a
-            /// `__m128` accumulator reproduces it exactly. An 8-wide dot
-            /// would change the reduction tree and break bitwise parity.
-            #[target_feature(enable = $feat)]
-            fn dot_impl(a: &[f32], b: &[f32]) -> f32 {
-                debug_assert_eq!(a.len(), b.len(), "dot operands must be equal length");
-                let n = a.len().min(b.len());
-                let mut lanes = _mm_setzero_ps();
-                let mut i = 0;
-                while i + 4 <= n {
-                    lanes = madd4(load4(a, i), load4(b, i), lanes);
-                    i += 4;
-                }
-                let mut l = [0.0f32; 4];
-                store4(&mut l, lanes);
-                let mut tail = 0.0f32;
-                while i < n {
-                    tail += a[i] * b[i];
-                    i += 1;
-                }
-                ((l[0] + l[1]) + (l[2] + l[3])) + tail
-            }
-
             fn mm_tile(
                 arows: &[&[f32]; MM_RT],
                 b: &[f32],
@@ -290,6 +268,138 @@ macro_rules! lane_tier {
                 for (r, row) in acc.iter().enumerate() {
                     store(out, r * ostride, row[0]);
                     store(out, r * ostride + LANES, row[1]);
+                }
+            }
+
+            fn mm_edge(
+                arows: &[&[f32]],
+                b: &[f32],
+                bstride: usize,
+                out: &mut [f32],
+                ostride: usize,
+                width: usize,
+            ) {
+                // The table is public, so these bounds are checked in
+                // release builds too: the masked loads and stores rely on
+                // them.
+                let inner = arows.first().map_or(0, |r| r.len());
+                assert!(
+                    (1..=MM_RT).contains(&arows.len()) && (1..=MM_CT).contains(&width),
+                    "mm_edge tile shape"
+                );
+                assert!(
+                    (arows.len() - 1) * ostride + width <= out.len()
+                        && (inner == 0 || (inner - 1) * bstride + width <= b.len()),
+                    "mm_edge operand too short"
+                );
+                // The row count and the vector count (one or two
+                // registers of columns) are const parameters, so each
+                // shape's accumulators stay in registers.
+                // SAFETY: features runtime-detected (see module docs).
+                unsafe {
+                    match (arows.len(), width > LANES) {
+                        (1, false) => mm_edge_impl::<1, 1>(arows, b, bstride, out, ostride, width),
+                        (2, false) => mm_edge_impl::<2, 1>(arows, b, bstride, out, ostride, width),
+                        (3, false) => mm_edge_impl::<3, 1>(arows, b, bstride, out, ostride, width),
+                        (4, false) => mm_edge_impl::<4, 1>(arows, b, bstride, out, ostride, width),
+                        (1, true) => mm_edge_impl::<1, 2>(arows, b, bstride, out, ostride, width),
+                        (2, true) => mm_edge_impl::<2, 2>(arows, b, bstride, out, ostride, width),
+                        (3, true) => mm_edge_impl::<3, 2>(arows, b, bstride, out, ostride, width),
+                        (4, true) => mm_edge_impl::<4, 2>(arows, b, bstride, out, ostride, width),
+                        _ => unreachable!("row count checked above"),
+                    }
+                }
+            }
+
+            /// `R` rows by `V` vectors of `width` columns, the lanes past
+            /// `width` masked off: per element the same ascending-`k`
+            /// mul-then-add as [`scalar::mm_edge`].
+            #[target_feature(enable = $feat)]
+            fn mm_edge_impl<const R: usize, const V: usize>(
+                arows: &[&[f32]],
+                b: &[f32],
+                bstride: usize,
+                out: &mut [f32],
+                ostride: usize,
+                width: usize,
+            ) {
+                debug_assert!(arows.len() == R, "mm_edge row count");
+                debug_assert!(
+                    width > (V - 1) * LANES && width <= V * LANES,
+                    "mm_edge width"
+                );
+                let inner = arows[0].len();
+                // Valid lanes of each vector: full ones, then the rest.
+                let mut valid = [LANES; V];
+                valid[V - 1] = width - (V - 1) * LANES;
+                let masks = valid.map(|w| mask(w));
+                let mut acc = [[_mm256_setzero_ps(); V]; R];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    for (v, a) in row.iter_mut().enumerate() {
+                        *a = load_masked(out, r * ostride + v * LANES, masks[v], valid[v]);
+                    }
+                }
+                for k in 0..inner {
+                    let mut bk = [_mm256_setzero_ps(); V];
+                    for (v, bv) in bk.iter_mut().enumerate() {
+                        *bv = load_masked(b, k * bstride + v * LANES, masks[v], valid[v]);
+                    }
+                    for (row, arow) in acc.iter_mut().zip(arows.iter()) {
+                        let av = splat(arow[k]);
+                        for (a, &bv) in row.iter_mut().zip(bk.iter()) {
+                            *a = madd(av, bv, *a);
+                        }
+                    }
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    for (v, &a) in row.iter().enumerate() {
+                        store_masked(out, r * ostride + v * LANES, masks[v], valid[v], a);
+                    }
+                }
+            }
+
+            fn bt_row(a: &[f32], bpack: &[f32], out: &mut [f32]) {
+                // Checked in release builds too: the panel loads rely on it.
+                assert!(
+                    out.len() % BT_CT == 0 && bpack.len() >= out.len() * a.len(),
+                    "bt_row operand shape"
+                );
+                // SAFETY: features runtime-detected (see module docs).
+                unsafe { bt_row_impl(a, bpack, out) }
+            }
+
+            /// One vector of [`BT_CT`] output columns per panel, four
+            /// lane accumulators plus a tail accumulator: column `t` of
+            /// each is [`scalar::dot`]'s `l0..l3`/`tail` for that column,
+            /// so the same combine gives its bits. (Four lanes of
+            /// partial sums per column, not an 8-wide reduction: that
+            /// would change the reduction tree and break bitwise parity.)
+            #[target_feature(enable = $feat)]
+            fn bt_row_impl(a: &[f32], bpack: &[f32], out: &mut [f32]) {
+                const _: () = assert!(BT_CT == LANES);
+                let inner = a.len();
+                let body = inner - inner % 4;
+                for (p, o) in out.chunks_exact_mut(BT_CT).enumerate() {
+                    let base = p * inner * BT_CT;
+                    let mut l = [_mm256_setzero_ps(); 4];
+                    let mut k = 0;
+                    while k < body {
+                        for (j, lane) in l.iter_mut().enumerate() {
+                            let bk = load(bpack, base + (k + j) * BT_CT);
+                            *lane = madd(splat(a[k + j]), bk, *lane);
+                        }
+                        k += 4;
+                    }
+                    let mut tail = _mm256_setzero_ps();
+                    while k < inner {
+                        tail = madd(splat(a[k]), load(bpack, base + k * BT_CT), tail);
+                        k += 1;
+                    }
+                    let sum = _mm256_add_ps(
+                        _mm256_add_ps(_mm256_add_ps(l[0], l[1]), _mm256_add_ps(l[2], l[3])),
+                        tail,
+                    );
+                    store(o, 0, sum);
                 }
             }
 

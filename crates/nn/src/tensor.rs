@@ -14,11 +14,12 @@
 //!   contiguous blocks, one per worker thread
 //!   ([`nettag_par::for_each_row_block_mut`]); every output element is
 //!   written by exactly one thread.
-//! * **Register tiling**: `matmul` computes full `RT`×`CT` output tiles
-//!   in registers across the whole `k` sweep, so output-memory traffic
-//!   drops to one load and one store per element; `matmul_bt` is a plain
-//!   row-of-dot-products loop (untiled — its B rows are read
-//!   sequentially per output row).
+//! * **Register tiling**: `matmul` computes `RT`×`CT` output tiles (and
+//!   their row/column edges) in registers across the whole `k` sweep, so
+//!   output-memory traffic drops to one load and one store per element;
+//!   `matmul_at` transposes A once and runs the same tiles; `matmul_bt`
+//!   packs Bᵀ into [`BT_CT`]-column panels and computes each output row's
+//!   panels in registers with `dot`'s reduction.
 //! * **Deterministic reduction order**: within each output element the
 //!   accumulation order over the inner dimension is ascending `k` in
 //!   every code path, so the parallel kernels are *bitwise identical* to
@@ -29,7 +30,7 @@
 //! `weights`) with a prebuilt transpose so the backward pass is a plain
 //! replay on contiguous memory.
 
-use crate::simd::{self, scalar::dot, SimdKernels, MM_CT as CT, MM_RT as RT, SPMM_CT};
+use crate::simd::{self, scalar::dot, SimdKernels, BT_CT, MM_CT as CT, MM_RT as RT, SPMM_CT};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -262,22 +263,22 @@ impl Tensor {
         let inner = self.cols;
         let n = other.rows;
         let kn = simd::kernels();
+        let mut bpack = Vec::new();
+        pack_bt(&other.data, inner, n, inner, &mut bpack);
+        let padded = n.next_multiple_of(BT_CT);
         run_row_blocks(
             &mut out.data,
             n,
             self.rows * inner * n,
             |first_row, chunk| {
+                let mut row = vec![0.0f32; padded];
                 for (bi, out_row) in chunk.chunks_exact_mut(n).enumerate() {
                     let i = first_row + bi;
-                    let arow = &self.data[i * inner..(i + 1) * inner];
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        let brow = &other.data[j * inner..(j + 1) * inner];
-                        let s = (kn.dot)(arow, brow);
-                        if accumulate {
-                            *o += s;
-                        } else {
-                            *o = s;
-                        }
+                    (kn.bt_row)(&self.data[i * inner..(i + 1) * inner], &bpack, &mut row);
+                    if accumulate {
+                        (kn.add_assign)(out_row, &row);
+                    } else {
+                        out_row.copy_from_slice(&row[..n]);
                     }
                 }
             },
@@ -321,24 +322,9 @@ impl Tensor {
             (self.cols, other.cols),
             "matmul_at out shape"
         );
-        let m = self.cols;
-        let n = other.cols;
-        let kn = simd::kernels();
-        run_row_blocks(&mut out.data, n, self.rows * m * n, |first_row, chunk| {
-            if !accumulate {
-                chunk.fill(0.0);
-            }
-            let rows_here = chunk.len() / n;
-            // Ascending-k axpy per owned output row: out[i, :] += A[k, i] * B[k, :].
-            for k in 0..self.rows {
-                let arow = &self.data[k * m..(k + 1) * m];
-                let brow = &other.data[k * n..(k + 1) * n];
-                for bi in 0..rows_here {
-                    let a = arow[first_row + bi];
-                    (kn.axpy)(&mut chunk[bi * n..(bi + 1) * n], a, brow);
-                }
-            }
-        });
+        // Aᵀ packed once into rows, then the register-tiled product: each
+        // element still sums A[k][i]·B[k][c] in ascending k.
+        self.transpose().matmul_into(other, out, accumulate);
     }
 
     /// Scalar reference for [`Tensor::matmul_at`] (branch-free, ascending
@@ -365,9 +351,11 @@ impl Tensor {
     /// Transposed copy.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                *out.at_mut(c, r) = self.at(r, c);
+        if self.cols > 0 {
+            for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+                for (c, &v) in row.iter().enumerate() {
+                    out.data[c * self.rows + r] = v;
+                }
             }
         }
         out
@@ -475,15 +463,8 @@ where
 }
 
 /// Blocked multiply kernel for one contiguous block of output rows:
-/// `chunk (+)= A_block @ B` where `a` starts at the block's first row.
-/// Loop order is (row-block, column-panel, k, row): full
-/// [`RT`]×[`CT`] register tiles go through the dispatched
-/// [`SimdKernels::mm_tile`] micro-kernel (the output tile lives in
-/// registers across the whole `k` sweep, one load+store per element),
-/// and every output element still accumulates in ascending-`k` order —
-/// bitwise identical to the scalar reference on the scalar and AVX2
-/// tiers.
-#[allow(clippy::too_many_arguments)]
+/// `chunk (+)= A_block @ B` where `a` starts at the block's first row,
+/// in groups of up to [`RT`] rows through [`mm_rows`].
 fn mm_block(
     kn: &SimdKernels,
     a: &[f32],
@@ -497,55 +478,53 @@ fn mm_block(
         chunk.fill(0.0);
     }
     let rows_here = chunk.len() / n;
-    let mut i = 0;
-    while i + RT <= rows_here {
-        let arows: [&[f32]; RT] = [
-            &a[i * inner..(i + 1) * inner],
-            &a[(i + 1) * inner..(i + 2) * inner],
-            &a[(i + 2) * inner..(i + 3) * inner],
-            &a[(i + 3) * inner..(i + 4) * inner],
-        ];
-        let mut j = 0;
-        while j + CT <= n {
-            (kn.mm_tile)(
-                &arows,
-                &b[j..],
-                n,
-                &mut chunk[i * n + j..(i + RT - 1) * n + j + CT],
-                n,
-            );
-            j += CT;
-        }
-        if j < n {
-            axpy_rows(kn, a, inner, b, n, chunk, i, i + RT, j);
-        }
-        i += RT;
-    }
-    if i < rows_here {
-        axpy_rows(kn, a, inner, b, n, chunk, i, rows_here, 0);
+    for i in (0..rows_here).step_by(RT) {
+        let r = (rows_here - i).min(RT);
+        let arows: [&[f32]; RT] =
+            std::array::from_fn(|t| &a[(i + t.min(r - 1)) * inner..][..inner]);
+        mm_rows(kn, &arows[..r], b, n, &mut chunk[i * n..], n, n);
     }
 }
 
-/// Remainder path: plain ascending-k axpy over `cols_from..n` for rows
-/// `[row_lo, row_hi)` of the chunk — the same per-element order as the
-/// register-tiled fast path and the scalar reference.
-#[allow(clippy::too_many_arguments)]
-fn axpy_rows(
+/// `out[r*ostride + c] += Σ_k arows[r][k] * b[k*bstride + c]` for up to
+/// [`RT`] rows and `c < n`, column panel by column panel: full
+/// [`RT`]×[`CT`] tiles go through the dispatched
+/// [`SimdKernels::mm_tile`] micro-kernel and the row and column edges
+/// through [`SimdKernels::mm_edge`], so every output tile lives in
+/// registers across the whole `k` sweep. Every element accumulates in
+/// ascending-`k` order — bitwise identical to the scalar reference on
+/// the scalar and AVX2 tiers.
+pub(crate) fn mm_rows(
     kn: &SimdKernels,
-    a: &[f32],
-    inner: usize,
+    arows: &[&[f32]],
     b: &[f32],
+    bstride: usize,
+    out: &mut [f32],
+    ostride: usize,
     n: usize,
-    chunk: &mut [f32],
-    row_lo: usize,
-    row_hi: usize,
-    cols_from: usize,
 ) {
-    for i in row_lo..row_hi {
-        let out_row = &mut chunk[i * n + cols_from..(i + 1) * n];
-        for k in 0..inner {
-            let av = a[i * inner + k];
-            (kn.axpy)(out_row, av, &b[k * n + cols_from..(k + 1) * n]);
+    let last = (arows.len() - 1) * ostride;
+    for j in (0..n).step_by(CT) {
+        let w = (n - j).min(CT);
+        let tile = &mut out[j..j + last + w];
+        match <&[&[f32]; RT]>::try_from(arows) {
+            Ok(full) if w == CT => (kn.mm_tile)(full, &b[j..], bstride, tile, ostride),
+            _ => (kn.mm_edge)(arows, &b[j..], bstride, tile, ostride, w),
+        }
+    }
+}
+
+/// Packs `rows` rows of B (row `j` is `b[j*bstride..][..inner]`) into the
+/// [`BT_CT`]-column panels [`SimdKernels::bt_row`] reads:
+/// `pack[(p*inner + k)*BT_CT + t] = B_{p*BT_CT+t}[k]`, with the columns
+/// past `rows` in the last panel zero.
+pub(crate) fn pack_bt(b: &[f32], bstride: usize, rows: usize, inner: usize, pack: &mut Vec<f32>) {
+    pack.clear();
+    pack.resize(rows.div_ceil(BT_CT) * inner * BT_CT, 0.0);
+    for j in 0..rows {
+        let panel = &mut pack[(j / BT_CT) * inner * BT_CT..];
+        for (k, &v) in b[j * bstride..j * bstride + inner].iter().enumerate() {
+            panel[k * BT_CT + j % BT_CT] = v;
         }
     }
 }

@@ -139,6 +139,60 @@ fn fma_dot_and_matmul_within_scaled_relative_bounds() {
     }
 }
 
+/// The attention-shaped tiles: `mm_edge` (row/column remainders and
+/// head-width products) and the packed `bt_row` (`matmul_bt`), across
+/// the tile edges, within a bound scaled by the summed term magnitudes.
+#[test]
+fn fma_attention_tiles_within_scaled_relative_bounds() {
+    let Some(kf) = fma() else {
+        eprintln!("host lacks avx2+fma — skipping");
+        return;
+    };
+    let mut rng = StdRng::seed_from_u64(0xA77);
+    for inner in [1usize, 3, 4, 5, 8, 12, 13, 41] {
+        for rows in 1..=simd::MM_RT {
+            for width in [1usize, 7, 8, 9, 12, 16] {
+                let arows: Vec<Vec<f32>> = (0..rows).map(|_| rand_vec(&mut rng, inner)).collect();
+                let a: Vec<&[f32]> = arows.iter().map(|r| r.as_slice()).collect();
+                let b = rand_vec(&mut rng, inner * width);
+                let base = rand_vec(&mut rng, rows * width);
+                let (mut got, mut want) = (base.clone(), base.clone());
+                (kf.mm_edge)(&a, &b, width, &mut got, width, width);
+                (scalar().mm_edge)(&a, &b, width, &mut want, width, width);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let (r, c) = (i / width, i % width);
+                    let scale: f32 = base[i].abs()
+                        + (0..inner)
+                            .map(|k| (a[r][k] * b[k * width + c]).abs())
+                            .sum::<f32>();
+                    assert!(
+                        (g - w).abs() <= 1e-5 * (1.0 + scale),
+                        "mm_edge {rows}x{width} inner {inner} elem {i}: {g} vs {w}"
+                    );
+                }
+            }
+        }
+        for panels in 1..=3 {
+            let a = rand_vec(&mut rng, inner);
+            let bpack = rand_vec(&mut rng, panels * inner * simd::BT_CT);
+            let mut got = vec![0.0f32; panels * simd::BT_CT];
+            let mut want = got.clone();
+            (kf.bt_row)(&a, &bpack, &mut got);
+            (scalar().bt_row)(&a, &bpack, &mut want);
+            for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                let (p, t) = (j / simd::BT_CT, j % simd::BT_CT);
+                let scale: f32 = (0..inner)
+                    .map(|k| (a[k] * bpack[(p * inner + k) * simd::BT_CT + t]).abs())
+                    .sum();
+                assert!(
+                    (g - w).abs() <= 1e-5 * (1.0 + scale),
+                    "bt_row inner {inner} column {j}: {g} vs {w}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn fma_layernorm_rows_within_ulp_bounds() {
     let Some(kf) = fma() else {
